@@ -18,7 +18,7 @@ import sys
 sys.path.insert(0, "src")
 
 from dnfenum.avg import MODE_FAST, MODE_SLOW, enum_avg
-from dnfenum.cli import generate
+from dnfenum import generate
 from dnfenum.core import Dnf, make_term
 from dnfenum.instrument import measure
 from dnfenum.kdnf import KdnfConfig, enum_kdnf

@@ -8,7 +8,6 @@ does its precomputation eagerly, then returns an iterator of int model masks
 
 from .avg import MODE_FAST, MODE_SLOW, enum_avg, enum_avg_fast, enum_avg_slow, min_models_bound
 from .classic import enum_flashlight, enum_union_ordered, enum_union_priority
-from .cli import generate
 from .core import (
     BRUTE_FORCE_MAX_VARS,
     Dnf,
@@ -27,6 +26,7 @@ from .core import (
     term_models_count,
 )
 from .graycode import GrayState, enum_single_term_dnf, enum_term_models, gray_next
+from .instances import generate
 from .instrument import DelayStats, StepCounter, measure
 from .kdnf import KdnfConfig, enum_kdnf, enum_kdnf_hybrid, step_constant
 from .monotone import (

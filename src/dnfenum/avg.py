@@ -94,7 +94,11 @@ def _trie_dfs(
                 # strict minority; ties rebuild (the cheap construction)
                 use_fast = fast and trying == 1 and rest < sat
                 if use_fast:
-                    assert 2 * rest < tt.root.count
+                    if 2 * rest >= tt.root.count:
+                        raise RuntimeError(
+                            f"fast branch on x{v}: {rest} leftover terms are not a strict"
+                            f" minority of {tt.root.count}"
+                        )
                     token = tt.set_variable_fast(v, trying)
                 else:
                     token = tt.set_variable(v, trying)

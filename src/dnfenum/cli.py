@@ -29,10 +29,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
-import math
-import random
 import sys
+from itertools import chain
+from operator import xor
 from typing import Callable, Iterator
 
 from .avg import MODE_FAST, MODE_SLOW, enum_avg
@@ -41,14 +40,13 @@ from .core import (
     BRUTE_FORCE_MAX_VARS,
     Dnf,
     DnfFormatError,
-    all_terms,
     bits_from_mask,
     brute_force_models,
     dumps_dnf,
-    make_term,
     parse_dnf,
 )
 from .graycode import enum_single_term_dnf
+from .instances import generate
 from .instrument import StepCounter, measure
 from .kdnf import LAMBDA_DEFAULT, KdnfConfig, enum_kdnf, enum_kdnf_hybrid
 from .monotone import (
@@ -89,120 +87,62 @@ EXIT_ORACLE = 4
 ORACLE_MAX_SETS = 20
 
 
-# -- instance generation -----------------------------------------------------
-
-
-def _count_terms(n: int, wmax: int, signed: bool) -> int:
-    return sum(math.comb(n, w) * ((1 << w) if signed else 1) for w in range(1, wmax + 1))
-
-
-def _all_candidate_terms(n: int, wmax: int, signed: bool) -> list[tuple[int, ...]]:
-    out = []
-    for w in range(1, wmax + 1):
-        for vs in itertools.combinations(range(1, n + 1), w):
-            if signed:
-                for signs in itertools.product((1, -1), repeat=w):
-                    out.append(make_term(v * s for v, s in zip(vs, signs)))
-            else:
-                out.append(tuple(vs))
-    return out
-
-
-def generate(kind: str, n: int, m: int | None, k: int = 3, seed: int = 0):
-    """Draw a reproducible random instance; returns a Dnf or a SetFamily.
-
-    ``random`` and ``monotone`` draw terms of uniform random width (signed
-    and positive respectively), ``kdnf`` draws signed terms of width <= k,
-    ``all-terms`` is the fixed family of every nonempty term, and ``sets``
-    draws a set family.  Duplicates are redrawn, so instances are uniform
-    over distinct draws; asking for more distinct objects than exist fails.
-    """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    rng = random.Random(seed)
-    if kind == "all-terms":
-        want = 3**n - 1
-        if m is not None and m != want:
-            raise ValueError(f"the all-terms family on n={n} has exactly {want} terms")
-        return Dnf(n, all_terms(n))
-    if m is None or m < 0:
-        raise ValueError(f"kind {kind!r} needs m >= 0")
-    if kind == "sets":
-        total = 1 << n
-        if m > total:
-            raise ValueError(f"m={m} exceeds the number of distinct sets ({total})")
-        if 3 * m >= total and total <= 1 << 20:
-            pool = [tuple(e for e in range(1, n + 1) if mk >> (n - e) & 1) for mk in range(total)]
-            return SetFamily(n, rng.sample(pool, m))
-        seen = set()
-        out = []
-        while len(out) < m:
-            s = tuple(e for e in range(1, n + 1) if rng.random() < 0.5)
-            if s not in seen:
-                seen.add(s)
-                out.append(s)
-        return SetFamily(n, out)
-    if kind == "random":
-        wmax, signed = n, True
-    elif kind == "monotone":
-        wmax, signed = n, False
-    elif kind == "kdnf":
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        wmax, signed = min(k, n), True
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    total = _count_terms(n, wmax, signed)
-    if m > total:
-        raise ValueError(f"m={m} exceeds the number of distinct terms ({total})")
-    if 3 * m >= total and total <= 1 << 20:
-        return Dnf(n, rng.sample(_all_candidate_terms(n, wmax, signed), m))
-    seen = set()
-    out = []
-    while len(out) < m:
-        w = rng.randint(1, wmax)
-        vs = rng.sample(range(1, n + 1), w)
-        t = make_term(v if not signed or rng.random() < 0.5 else -v for v in vs)
-        if t not in seen:
-            seen.add(t)
-            out.append(t)
-    return Dnf(n, out)
-
-
 # -- enumerate ---------------------------------------------------------------
 
 
+class _FlipLines(dict):
+    """Maps the difference of two consecutive models to its flips line.
+
+    Holds the single-bit differences, the only ones a Gray step makes; a
+    difference of several bits, which non-Gray algorithms produce, misses
+    and is decoded bit by bit without being stored.
+    """
+
+    def __init__(self, n: int):
+        super().__init__((1 << (n - v), str(v)) for v in range(1, n + 1))
+        self.n = n
+
+    def __missing__(self, diff: int) -> str:
+        pos = []
+        while diff:
+            b = diff & -diff
+            pos.append(self.n - b.bit_length() + 1)
+            diff ^= b
+        pos.reverse()
+        return " ".join(map(str, pos))
+
+
 class _StreamWriter:
-    """Batches model lines so a million-model run is not a million writes."""
+    """Formats each block of models from measure() in one pass, one write per block.
+
+    ``bits`` gives each model its full bit string.  ``flips`` gives the first
+    model of the run its bit string and every later model the ascending
+    1-based positions in which it differs from its predecessor, looked up in
+    a :class:`_FlipLines` table built once per run.  Between blocks the
+    writer keeps only the last model.
+    """
 
     def __init__(self, n: int, fmt: str, out):
         self.n = n
-        self.fmt = fmt
         self.out = out
+        self.spec = f"0{n}b"
         self.prev: int | None = None
-        self.buf: list[str] = []
+        self.flip_lines = _FlipLines(n) if fmt == "flips" else None
 
-    def __call__(self, mask: int) -> None:
+    def __call__(self, masks: list[int]) -> None:
         n = self.n
-        if self.fmt == "bits" or self.prev is None:
-            self.buf.append(bits_from_mask(mask, n))
+        if self.flip_lines is None:
+            # format() pads to at least one digit, so n = 0 needs its own case
+            lines = [format(m, self.spec) for m in masks] if n else [""] * len(masks)
         else:
-            diff = mask ^ self.prev
-            pos = []
-            while diff:
-                b = diff & -diff
-                pos.append(n - b.bit_length() + 1)
-                diff ^= b
-            pos.reverse()
-            self.buf.append(" ".join(map(str, pos)))
-        self.prev = mask
-        if len(self.buf) >= 4096:
-            self.flush()
-
-    def flush(self) -> None:
-        if self.buf:
-            self.out.write("\n".join(self.buf) + "\n")
-            self.buf.clear()
+            first = self.prev is None
+            prev = masks[0] if first else self.prev
+            lines = list(map(self.flip_lines.__getitem__, map(xor, masks, chain((prev,), masks))))
+            if first:
+                lines[0] = bits_from_mask(masks[0], n)
+        self.prev = masks[-1]
+        lines.append("")
+        self.out.write("\n".join(lines))
 
 
 def _read_input(path: str) -> str:
@@ -328,8 +268,6 @@ def _cmd_run(argv: list[str]) -> int:
 
     sink = None if args.count else _StreamWriter(obj.n, args.format, sys.stdout)
     models, stats = measure(factory, limit=args.limit, collect=args.check_oracle, sink=sink)
-    if sink is not None:
-        sink.flush()
     if args.count:
         print(stats.n_models)
     if args.stats:

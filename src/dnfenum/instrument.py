@@ -60,23 +60,37 @@ class DelayStats:
         return json.dumps(asdict(self))
 
 
+#: most models measure() hands a sink in one call
+SINK_BLOCK = 4096
+
+
 def measure(
     factory: Callable[[StepCounter], Iterator[int]],
     limit: int | None = None,
     collect: bool = True,
-    sink: Callable[[int], None] | None = None,
+    sink: Callable[[list[int]], None] | None = None,
 ) -> tuple[list[int], DelayStats]:
     """Run an enumerator to exhaustion (or `limit`) and record delay stats.
 
     `factory` receives a fresh StepCounter and must do its precomputation
     eagerly before returning the model iterator; the counter value at return
     time is recorded as precompute_steps.
+
+    `sink`, if given, receives the models in order as nonempty lists of at
+    most SINK_BLOCK masks: each full list as it fills, and the remainder once
+    the run ends, whether by exhaustion or by `limit`.  Every model reaches
+    the sink exactly once.  The list is cleared and refilled after each call,
+    so a sink must copy what it wants to keep.  Sink calls sit outside the
+    step accounting.
     """
     counter = StepCounter()
     t0 = time.perf_counter_ns()
     gen = factory(counter)
     pre = counter.n
     models: list[int] = []
+    chunk: list[int] = []
+    # every model joins the chunk, so it is full when n_models reaches this
+    flush_at = SINK_BLOCK
     n_models = 0
     prev = pre
     max_delay = 0
@@ -99,12 +113,18 @@ def measure(
         if collect:
             models.append(mask)
         if sink is not None:
-            sink(mask)
+            chunk.append(mask)
+            if n_models == flush_at:
+                sink(chunk)
+                chunk.clear()
+                flush_at += SINK_BLOCK
         if counter.nodes > peak:
             peak = counter.nodes
         if limit is not None and n_models >= limit:
             exhausted = False
             break
+    if chunk:
+        sink(chunk)
     if exhausted and n_models:
         tail = counter.n - prev
         sum_delay += tail

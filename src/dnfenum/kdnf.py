@@ -151,7 +151,11 @@ def _make_frame(tt, assign, unassigned, min_word, cfg, ctr, n, path=()):
         # step-budget feasibility: the Gray walk is long enough to pay for
         # the whole construction (holds for every dedup'd bounded-width
         # formula with the default budget)
-        assert (cfg.d << (nu - kp)) >= kp * kp * mp, (cfg.d, nu, kp, mp)
+        if (cfg.d << (nu - kp)) < kp * kp * mp:
+            raise ValueError(
+                f"infeasible kdnf budget: d * 2^(n' - k') = {cfg.d} * 2^{nu - kp}"
+                f" < k'^2 * m' = {kp * kp * mp}"
+            )
     tvars = set()
     start = assign
     for s in min_word:
@@ -277,7 +281,8 @@ def _enum_kdnf_impl(d: Dnf, cfg: KdnfConfig, ctr: StepCounter, *, hybrid: bool, 
                 stack.pop()
                 stack.extend(reversed(F.children))
                 continue
-            run_slice(F)
+            if F.builder is not None:
+                run_slice(F)
             p = pc[0]
             ctr.n += (n if p is None else (mask ^ p).bit_count()) + 1
             pc[0] = mask

@@ -153,7 +153,8 @@ def enum_monotone_rs(md, *, counter: StepCounter | None = None, on_discard=None)
             while cur is not None:
                 mask = cur.mask
                 fresh = model_trie.insert(word_of(mask))
-                assert fresh, "reverse-search visit repeated a model"
+                if not fresh:
+                    raise RuntimeError("reverse-search visit repeated a model")
                 p = pc[0]
                 ctr.n += (n if p is None else (mask ^ p).bit_count()) + 1
                 pc[0] = mask

@@ -167,7 +167,8 @@ def enum_unions(fam: SetFamily, *, counter: StepCounter | None = None):
     trie = Trie(n + 1, rep=ARRAY, counter=ctr)
     for i, s in enumerate(fam.sets):
         fresh, leaf = trie.insert_get(s)
-        assert fresh is not None
+        if fresh is None:
+            raise RuntimeError(f"set {s} is in the family twice")
         leaf.data = [i]
     alive = [True] * m
     state = {"live": m}

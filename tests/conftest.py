@@ -82,15 +82,23 @@ def random_dnf(rng: random.Random, n: int, m: int, min_width: int = 1, max_width
     return Dnf(n, tuple(out))
 
 
-def cli_launch(args) -> tuple[list[str], dict[str, str]]:
-    """The argv and env that run ``dnfenum ARGS`` in a separate process.
+def child_env() -> dict[str, str]:
+    """An env whose Python imports the ``dnfenum`` this process imported.
 
-    The child is ``python -m dnfenum`` with the directory this process
-    imported ``dnfenum`` from first on its ``PYTHONPATH``, so it runs the code
-    under test and needs no installed console script.  The env is a copy;
-    this process's ``os.environ`` is left alone.
+    The directory this process imported ``dnfenum`` from goes first on the
+    child's ``PYTHONPATH``, so a child interpreter runs the code under test.
+    The env is a copy; this process's ``os.environ`` is left alone.
     """
     root = Path(dnfenum.__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root), env.get("PYTHONPATH")]))
-    return [sys.executable, "-m", "dnfenum", *args], env
+    return env
+
+
+def cli_launch(args) -> tuple[list[str], dict[str, str]]:
+    """The argv and env that run ``dnfenum ARGS`` in a separate process.
+
+    The child is ``python -m dnfenum`` under :func:`child_env`, so it needs
+    no installed console script.
+    """
+    return [sys.executable, "-m", "dnfenum", *args], child_env()

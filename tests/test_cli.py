@@ -9,9 +9,30 @@ import sys
 import pytest
 
 from conftest import cli_launch
+from dnfenum import (
+    enum_avg,
+    enum_flashlight,
+    enum_kdnf,
+    enum_kdnf_hybrid,
+    enum_monotone_avg,
+    enum_monotone_log,
+    enum_monotone_rs,
+    enum_single_term_dnf,
+    enum_union_ordered,
+    enum_union_priority,
+    enum_unions,
+)
 from dnfenum.cli import ALGOS, generate, main
-from dnfenum.core import bits_from_mask, brute_force_models, mask_from_bits, parse_dnf
-from dnfenum.setunion import SetFamily
+from dnfenum.core import (
+    Dnf,
+    bits_from_mask,
+    brute_force_models,
+    dumps_dnf,
+    mask_from_bits,
+    parse_dnf,
+)
+from dnfenum.instrument import SINK_BLOCK
+from dnfenum.setunion import SetFamily, dumps_sets
 
 EXAMPLE = "p dnf 3 2\n1 2 0\n-3 0\n"  # (x1 & x2) | ~x3, five models
 EXAMPLE_MODELS = {"110", "111", "000", "010", "100"}
@@ -44,6 +65,118 @@ def replay_flips(n: int, text: str) -> list[str]:
             mask ^= 1 << (n - pos)
         out.append(bits_from_mask(mask, n))
     return out
+
+
+def reference_stream(n: int, fmt: str, masks) -> str:
+    """Encode models one at a time, as a per-model writer would."""
+    lines = []
+    prev = None
+    for mask in masks:
+        if fmt == "bits" or prev is None:
+            lines.append(bits_from_mask(mask, n))
+        else:
+            diff = mask ^ prev
+            pos = []
+            while diff:
+                b = diff & -diff
+                pos.append(n - b.bit_length() + 1)
+                diff ^= b
+            pos.reverse()
+            lines.append(" ".join(map(str, pos)))
+        prev = mask
+    return "".join(line + "\n" for line in lines)
+
+
+def assert_same_stream(got: str, want: str) -> None:
+    """Equal streams; a mismatch names its first differing line.
+
+    A full diff of two streams of ten thousand lines takes pytest minutes.
+    """
+    if got != want:
+        g, w = got.splitlines(keepends=True), want.splitlines(keepends=True)
+        i = next((i for i, (a, b) in enumerate(zip(g, w)) if a != b), min(len(g), len(w)))
+        pytest.fail(
+            f"streams differ first at line {i}: got {g[i:i + 1]}, want {w[i:i + 1]}"
+            f" ({len(g)} against {len(w)} lines)"
+        )
+
+
+# Instances with more than two sink blocks of models.  x1 alone covers half
+# of the 2^14 assignments; the other terms add more.
+DENSE = Dnf(14, [(1,), (-2, 3), (4, -5, 6), (-7, 8, 9, -10)])
+DENSE_MONOTONE = Dnf(14, [(1,), (2, 3), (4, 5, 6), (7, 8, 9, 10)])
+SINGLETONS = SetFamily(14, [(e,) for e in range(1, 15)])
+ONE_TERM = Dnf(15, [(3,)])
+
+BLOCK_CASES = {
+    "term-gray": (enum_single_term_dnf, ONE_TERM),
+    "union-priority": (enum_union_priority, DENSE),
+    "union-ordered": (enum_union_ordered, DENSE),
+    "flashlight": (enum_flashlight, DENSE),
+    "kdnf": (enum_kdnf, DENSE),
+    "kdnf-hybrid": (enum_kdnf_hybrid, DENSE),
+    "avg": (enum_avg, DENSE),
+    "monotone-rs": (enum_monotone_rs, DENSE_MONOTONE),
+    "monotone-avg": (enum_monotone_avg, DENSE_MONOTONE),
+    "monotone-log": (enum_monotone_log, DENSE_MONOTONE),
+    "setunion": (enum_unions, SINGLETONS),
+}
+#: limits on and around the sink's block boundaries; None runs to the end
+BLOCK_LIMITS = (None, 1, SINK_BLOCK - 1, SINK_BLOCK, SINK_BLOCK + 1, 2 * SINK_BLOCK + 1)
+
+
+@pytest.fixture(scope="module")
+def block_instances(tmp_path_factory):
+    """Per algorithm: (instance file, n, models in enumeration order)."""
+    root = tmp_path_factory.mktemp("blocks")
+    out = {}
+    for algo, (enum, obj) in BLOCK_CASES.items():
+        f = root / f"{algo}.txt"
+        f.write_text(dumps_sets(obj) if isinstance(obj, SetFamily) else dumps_dnf(obj))
+        out[algo] = (str(f), obj.n, list(enum(obj)))
+    return out
+
+
+def test_block_instances_cross_two_blocks(block_instances):
+    assert set(block_instances) == set(ALGOS)
+    for _, _, models in block_instances.values():
+        assert len(models) > 2 * SINK_BLOCK + 1
+
+
+@pytest.mark.parametrize("limit", BLOCK_LIMITS)
+@pytest.mark.parametrize("fmt", ["bits", "flips"])
+@pytest.mark.parametrize("algo", ALGOS)
+def test_stream_matches_per_model_encoder(block_instances, algo, fmt, limit, capsys):
+    path, n, models = block_instances[algo]
+    argv = ["--algo", algo, "--format", fmt, path]
+    if limit is not None:
+        argv += ["--limit", str(limit)]
+        models = models[:limit]
+    assert main(argv) == 0
+    assert_same_stream(capsys.readouterr().out, reference_stream(n, fmt, models))
+
+
+@pytest.mark.parametrize("algo", ["avg", "union-ordered"])
+def test_multi_bit_flip_opens_a_later_block(block_instances, algo, capsys):
+    path, n, models = block_instances[algo]
+    # the first model of the second block differs from its predecessor in
+    # several bits, so its flips line misses the single-bit table
+    assert (models[SINK_BLOCK] ^ models[SINK_BLOCK - 1]).bit_count() > 1
+    assert main(["--algo", algo, "--format", "flips", path]) == 0
+    flips = capsys.readouterr().out
+    assert len(flips.splitlines()[SINK_BLOCK].split()) > 1
+    assert_same_stream(flips, reference_stream(n, "flips", models))
+    assert main(["--algo", algo, path]) == 0
+    replayed = "".join(line + "\n" for line in replay_flips(n, flips))
+    assert_same_stream(replayed, capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("fmt", ["bits", "flips"])
+def test_zero_variable_stream(tmp_path, fmt, capsys):
+    f = tmp_path / "empty.sets"
+    f.write_text("p sets 0 1\n0\n")  # the empty set: one union over no elements
+    assert main(["--algo", "setunion", "--format", fmt, str(f)]) == 0
+    assert capsys.readouterr().out == reference_stream(0, fmt, [0]) == "\n"
 
 
 def test_count_on_example(example_file, capsys):

@@ -2,12 +2,14 @@
 
 import math
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from conftest import dnfs, random_dnf
+from conftest import child_env, dnfs, random_dnf
 from dnfenum.avg import enum_avg
 from dnfenum.core import Dnf, brute_force_models, compatible, make_term, satisfies
 from dnfenum.graycode import enum_term_models
@@ -134,9 +136,32 @@ def test_frames_partition_the_models():
             )
 
 
+def test_budget_guard_refuses_an_infeasible_config():
+    # d * 2^(n - k) = 1 * 2 cannot pay for k^2 * m = 27 construction steps
+    d = Dnf(4, [(1, 2, 3), (-1, 2, 4), (2, -3, 4)])
+    with pytest.raises(ValueError, match="infeasible kdnf budget"):
+        list(enum_kdnf(d, KdnfConfig(k=3, d=1, A=1)))
+
+
+def test_budget_guard_runs_under_optimize():
+    # python -O strips asserts; the guard must still refuse the config
+    code = (
+        "from dnfenum import Dnf, KdnfConfig, enum_kdnf\n"
+        "d = Dnf(4, [(1, 2, 3), (-1, 2, 4), (2, -3, 4)])\n"
+        "try:\n"
+        "    print(len(list(enum_kdnf(d, KdnfConfig(k=3, d=1, A=1)))))\n"
+        "except ValueError as e:\n"
+        "    print('refused:', e)\n"
+    )
+    r = subprocess.run([sys.executable, "-O", "-c", code], env=child_env(),
+                       capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.startswith("refused: infeasible kdnf budget"), r.stdout
+
+
 def test_budget_guard_holds_on_random_inputs():
-    # the frame constructor asserts the budget inequality; a failure here
-    # would surface as an AssertionError during enumeration
+    # the frame constructor checks the budget inequality; a failure here
+    # would surface as a ValueError during enumeration
     rng = random.Random(0xB4D6E7)
     for _ in range(40):
         n = rng.randint(1, 12)
