@@ -6,7 +6,7 @@ does its precomputation eagerly, then returns an iterator of int model masks
 :func:`measure` turns a run into per-output delay statistics.
 """
 
-from .avg import MODE_FAST, MODE_SLOW, enum_avg, enum_avg_fast, enum_avg_slow, min_models_bound
+from .avg import MODE_FAST, MODE_SLOW, enum_avg, min_models_bound
 from .classic import enum_flashlight, enum_union_ordered, enum_union_priority
 from .core import (
     BRUTE_FORCE_MAX_VARS,
@@ -71,8 +71,6 @@ __all__ = [
     "dumps_dnf",
     "dumps_sets",
     "enum_avg",
-    "enum_avg_fast",
-    "enum_avg_slow",
     "enum_flashlight",
     "enum_kdnf",
     "enum_kdnf_hybrid",

@@ -7,11 +7,11 @@ dead-branch test: a branch survives iff its restriction keeps at least one
 term.  Every inner node therefore has a model below it, and the total trie
 work can be charged to the models produced.
 
-Two variants:
+enum_avg runs it in one of two modes:
 
-* enum_avg_slow restricts by strip-and-reinsert only; the work per node is
-  proportional to the satisfied side.
-* enum_avg_fast greedily re-roots on the satisfied literal's subtree
+* MODE_SLOW ("t10") restricts by strip-and-reinsert only; the work per node
+  is proportional to the satisfied side.
+* MODE_FAST ("t11") greedily re-roots on the satisfied literal's subtree
   whenever the leftover side (terms mentioning neither literal) is strictly
   smaller, so the charged side is always a minority of the current terms.
 
@@ -173,10 +173,3 @@ def enum_avg(
         branch_log=branch_log,
     )
 
-
-def enum_avg_slow(d: Dnf, *, counter: StepCounter | None = None, branch_log: list | None = None):
-    return enum_avg(d, MODE_SLOW, counter=counter, branch_log=branch_log)
-
-
-def enum_avg_fast(d: Dnf, *, counter: StepCounter | None = None, branch_log: list | None = None):
-    return enum_avg(d, MODE_FAST, counter=counter, branch_log=branch_log)

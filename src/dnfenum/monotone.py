@@ -192,7 +192,8 @@ def _complement_phase(tt: TermTrie, live: list[int], base_mask: int, pc: list, c
     Setting x to 1 keeps everything and strips x from the words that have
     it — a small-into-large merge.  Variables smaller than every root child
     symbol appear in every term, so they are forced to 1 and skipped with
-    no trie work at all.
+    no trie work at all.  The walk keeps its open branches on an explicit
+    frame stack, so its depth is not bounded by the recursion limit.
     """
     L = len(live)
     bits = [1 << (n - v) for v in live]
@@ -214,33 +215,7 @@ def _complement_phase(tt: TermTrie, live: list[int], base_mask: int, pc: list, c
         ct.insert(tuple(comp))
     ctr.n += 2 * L + 2
 
-    def emit(mask):
-        p = pc[0]
-        ctr.n += (n if p is None else (mask ^ p).bit_count()) + 1
-        pc[0] = mask
-        return mask
-
-    def walk(i: int, mask: int):
-        root = ct.root
-        cm = root.cmask
-        ctr.n += 1
-        if cm == 0:
-            # lone fully-shrunk term: every remaining variable is in it
-            yield emit(mask | suf[i])
-            return
-        x = (cm & -cm).bit_length() - 1
-        j = idx[x]
-        if j > i:
-            # vars live[i:j] occur in every term: forced to 1, zero trie work
-            mask |= suf[i] ^ suf[j]
-            ctr.n += 2
-            i = j
-        kid = ct._get(root, x)
-        ctr.n += 2
-        # x -> 0: only the terms missing x survive, already rooted at child(x)
-        ct.root = kid
-        yield from walk(i + 1, mask)
-        ct.root = root
+    def rule_in(root, x: int, kid) -> list:
         # x -> 1: every term survives; strip x where present (small into large)
         cnt_x = kid.count
         rest = root.count - cnt_x
@@ -266,10 +241,57 @@ def _complement_phase(tt: TermTrie, live: list[int], base_mask: int, pc: list, c
                     full = (s,) + w
                     if ct.insert(full):
                         token.append(("ins", full))
-        yield from walk(i + 1, mask | bits[idx[x]])
-        ct.undo(token)
+        return token
 
-    return walk(0, base_mask)
+    def walk():
+        # the open branches, innermost last: (i, mask, x, root, kid, token),
+        # with token None while "x -> 0" runs and the undo token of the
+        # strip once "x -> 1" runs
+        frames: list = []
+        i = 0
+        mask = base_mask
+        while True:
+            root = ct.root
+            cm = root.cmask
+            ctr.n += 1
+            if cm:
+                x = (cm & -cm).bit_length() - 1
+                j = idx[x]
+                if j > i:
+                    # vars live[i:j] occur in every term: forced to 1, zero
+                    # trie work
+                    mask |= suf[i] ^ suf[j]
+                    ctr.n += 2
+                    i = j
+                kid = ct._get(root, x)
+                ctr.n += 2
+                # x -> 0: only the terms missing x survive, already rooted
+                # at child(x)
+                ct.root = kid
+                frames.append((i, mask, x, root, kid, None))
+                i += 1
+                continue
+            # lone fully-shrunk term: every remaining variable is in it
+            out = mask | suf[i]
+            p = pc[0]
+            ctr.n += (n if p is None else (out ^ p).bit_count()) + 1
+            pc[0] = out
+            yield out
+            # close "x -> 1" branches up to the innermost open "x -> 0" one,
+            # then switch that one to "x -> 1"
+            while frames:
+                i, mask, x, root, kid, token = frames.pop()
+                if token is None:
+                    break
+                ct.undo(token)
+            else:
+                return
+            ct.root = root
+            frames.append((i, mask, x, root, kid, rule_in(root, x, kid)))
+            mask |= bits[idx[x]]
+            i += 1
+
+    return walk()
 
 
 def enum_monotone_log(md, *, counter: StepCounter | None = None, switch_log: list | None = None):

@@ -14,6 +14,16 @@ keeping the still-usable sets in a trie of sorted element words:
 
 Both branches restore the trie through the undo log on backtrack, so the
 space beyond the family itself stays O(size of the family).
+
+The walk is one loop over an explicit stack of frames, one per element
+whose branch is open, so no recursion limit bounds n and resuming after an
+output does not climb a chain of suspended generators.  Since every live
+word starts at or after the current element, the next element that heads a
+word is the lowest set bit of the root's child mask from there on; the
+elements before it have no root child, and the loop jumps over them while
+still charging each its one step, in a single add.  Step charges, and so
+the output stream and every delay, are the same as those of the
+element-by-element recursion the loop replaced.
 """
 
 from __future__ import annotations
@@ -171,8 +181,6 @@ def enum_unions(fam: SetFamily, *, counter: StepCounter | None = None):
             raise RuntimeError(f"set {s} is in the family twice")
         leaf.data = [i]
     alive = [True] * m
-    state = {"live": m}
-    pc = [None]
 
     def merge_in(w: tuple[int, ...], data: list, token: list) -> None:
         fresh, leaf = trie.insert_get(w)
@@ -183,7 +191,8 @@ def enum_unions(fam: SetFamily, *, counter: StepCounter | None = None):
             token.append(("data", leaf, leaf.data))
             leaf.data = leaf.data + data
 
-    def kill_subtree(node, died: list) -> None:
+    def kill_subtree(node) -> list[int]:
+        died: list[int] = []
         stack = [node]
         seen = 0
         while stack:
@@ -196,80 +205,93 @@ def enum_unions(fam: SetFamily, *, counter: StepCounter | None = None):
             for _, kid in trie._child_items(nd):
                 stack.append(kid)
         ctr.n += seen + len(died) + 1
+        return died
 
-    def emit(mask: int) -> int:
-        p = pc[0]
-        ctr.n += (n if p is None else (mask ^ p).bit_count()) + 1
-        pc[0] = mask
-        return mask
-
-    def walk(e: int, ones: int):
-        if e > n:
-            if state["live"]:
-                yield emit(ones)
-            return
-        root = trie.root
-        kid = trie._get(root, e)
-        ctr.n += 1
-        # e out of the union: sets containing e die; the survivors' union
-        # must still cover the elements already ruled in
-        if kid is None:
-            yield from walk(e + 1, ones)
-        else:
-            trie._pop_child(root, e)
-            root.count -= kid.count
-            token: list = [("detach", root, e, kid)]
-            died: list[int] = []
-            kill_subtree(kid, died)
-            state["live"] -= len(died)
-            u = 0
-            for i in range(m):
-                if alive[i]:
-                    u |= masks[i]
-            ctr.n += m + 1
-            if ones & ~u == 0 and (u != 0 or (ones == 0 and state["live"] > 0)):
-                yield from walk(e + 1, ones)
-            for i in died:
-                alive[i] = True
-            state["live"] += len(died)
-            trie.undo(token)
+    def rule_in(root, e: int, kid) -> list:
         # e in the union: some live set must contain it; every set survives,
         # words starting with e lose it (small side merges into large)
-        if kid is not None:
-            token = []
-            cnt = kid.count
-            rest = root.count - cnt
-            if cnt <= rest:
-                trie._pop_child(root, e)
-                root.count -= cnt
-                token.append(("detach", root, e, kid))
-                ctr.n += 1
-                stack = [(kid, ())]
-                while stack:
-                    nd, w = stack.pop()
-                    ctr.n += 1
-                    if nd.word:
-                        merge_in(w, nd.data, token)
-                    for s, k2 in trie._child_items(nd):
-                        stack.append((k2, w + (s,)))
-            else:
-                token.append(("root", root))
-                trie.root = kid
-                ctr.n += 1
-                if root.word:
-                    merge_in((), root.data, token)
-                for s, k2 in trie._child_items(root):
-                    if s == e:
-                        continue
-                    stack = [(k2, (s,))]
-                    while stack:
-                        nd, w = stack.pop()
-                        ctr.n += 1
-                        if nd.word:
-                            merge_in(w, nd.data, token)
-                        for s2, k3 in trie._child_items(nd):
-                            stack.append((k3, w + (s2,)))
-            yield from walk(e + 1, ones | 1 << (n - e))
-            trie.undo(token)
+        token: list = []
+        cnt = kid.count
+        if cnt <= root.count - cnt:
+            trie._pop_child(root, e)
+            root.count -= cnt
+            token.append(("detach", root, e, kid))
+            stack = [(kid, ())]
+        else:
+            token.append(("root", root))
+            trie.root = kid
+            if root.word:
+                merge_in((), root.data, token)
+            # reversed, so that each child's subtree is walked whole, in
+            # child order
+            stack = [(k2, (s,)) for s, k2 in trie._child_items(root) if s != e]
+            stack.reverse()
+        ctr.n += 1
+        while stack:
+            nd, w = stack.pop()
+            ctr.n += 1
+            if nd.word:
+                merge_in(w, nd.data, token)
+            for s, k2 in trie._child_items(nd):
+                stack.append((k2, w + (s,)))
+        return token
 
-    return walk(1, 0)
+    def walk():
+        live = m
+        prev = None
+        # the open branches, innermost last: (e, ones, kid, token, died)
+        # while "e out" runs, (e, ones, None, token, None) while "e in" runs
+        frames: list = []
+        e = 1
+        ones = 0
+        while True:
+            root = trie.root
+            ahead = root.cmask >> e
+            if ahead:
+                # every live word starts at e or later, so the elements up to
+                # the next root child are ruled out at one step each
+                skip = (ahead & -ahead).bit_length() - 1
+                e += skip
+                ctr.n += skip + 1
+                kid = trie._get(root, e)
+                # e out of the union: sets containing e die; the survivors'
+                # union must still cover the elements already ruled in
+                trie._pop_child(root, e)
+                root.count -= kid.count
+                token = [("detach", root, e, kid)]
+                died = kill_subtree(kid)
+                live -= len(died)
+                u = 0
+                for i in range(m):
+                    if alive[i]:
+                        u |= masks[i]
+                ctr.n += m + 1
+                frames.append((e, ones, kid, token, died))
+                if ones & ~u == 0 and (u != 0 or (ones == 0 and live > 0)):
+                    e += 1
+                    continue
+            else:
+                # no root child left: e..n are ruled out, and this is a leaf
+                ctr.n += n + 1 - e
+                if live:
+                    ctr.n += (n if prev is None else (ones ^ prev).bit_count()) + 1
+                    prev = ones
+                    yield ones
+            # close "e in" branches up to the innermost open "e out" one,
+            # then switch that one to "e in"
+            while frames:
+                e, ones, kid, token, died = frames.pop()
+                if kid is not None:
+                    break
+                trie.undo(token)
+            else:
+                return
+            for i in died:
+                alive[i] = True
+            live += len(died)
+            trie.undo(token)
+            frames.append((e, ones, None, rule_in(trie.root, e, kid), None))
+            ones |= 1 << (n - e)
+            e += 1
+
+    return walk()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import random
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -80,6 +81,26 @@ def random_dnf(rng: random.Random, n: int, m: int, min_width: int = 1, max_width
             seen.add(t)
             out.append(t)
     return Dnf(n, tuple(out))
+
+
+@contextmanager
+def shallow_recursion_limit(headroom: int = 50):
+    """Lower the recursion limit to `headroom` frames above the caller's depth.
+
+    Code run inside the block that recurses deeper than `headroom` raises
+    RecursionError; the old limit comes back on the way out.
+    """
+    depth = 0
+    f = sys._getframe()
+    while f is not None:
+        depth += 1
+        f = f.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + headroom)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
 
 
 def child_env() -> dict[str, str]:

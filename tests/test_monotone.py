@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from conftest import monotone_dnfs, random_dnf
+from conftest import monotone_dnfs, random_dnf, shallow_recursion_limit
 from dnfenum.avg import MODE_FAST, enum_avg
 from dnfenum.core import Dnf, brute_force_models, mask_from_bits, satisfies
 from dnfenum.instrument import measure
@@ -196,3 +196,32 @@ def test_reverse_search_memory_holds_all_models():
     models, stats = measure(lambda ctr: enum_monotone_rs(MonotoneDnf(d), counter=ctr))
     assert stats.peak_aux_memory_estimate >= stats.n_models
     assert stats.peak_aux_memory_estimate <= 2 * (d.n + 1) * stats.n_models
+
+
+@pytest.mark.parametrize(
+    "d,n_models,total,max_delay,avg_delay",
+    [
+        (all_width_terms(6, 5), 7, 225, 13, 10.571428571428571),
+        (all_width_terms(8, 4), 163, 5062, 307, 20.478527607361965),
+        (Dnf(8, ((1, 2), (3, 4))), 112, 961, 43, 7.892857142857143),
+    ],
+    ids=["width-5-of-6", "width-4-of-8", "two-pairs"],
+)
+def test_log_step_counts_are_pinned(d, n_models, total, max_delay, avg_delay):
+    # recorded from the recursive complement walk the frame stack replaced
+    _, stats = measure(lambda c: enum_monotone_log(MonotoneDnf(d), counter=c))
+    assert stats.n_models == n_models
+    assert stats.total_steps == total
+    assert stats.max_delay_steps == max_delay
+    assert stats.avg_delay_steps == pytest.approx(avg_delay, rel=1e-12)
+
+
+def test_complement_walk_needs_no_recursion():
+    # all width-(n-1) terms re-encode at the root into n one-variable
+    # complements, and the walk then decides the n variables one by one
+    n = 300
+    md = MonotoneDnf(all_width_terms(n, n - 1))
+    with shallow_recursion_limit(50):
+        got = list(enum_monotone_log(md))
+    full = (1 << n) - 1
+    assert sorted(got) == sorted([full] + [full ^ (1 << (n - v)) for v in range(1, n + 1)])

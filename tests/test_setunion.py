@@ -1,11 +1,13 @@
 """Union-of-subfamily enumeration over set families."""
 
 import random
+import subprocess
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import set_families
+from conftest import cli_launch, set_families, shallow_recursion_limit
 from dnfenum.core import DnfFormatError, mask_from_bits
 from dnfenum.instrument import measure
 from dnfenum.setunion import (
@@ -147,3 +149,72 @@ def test_average_delay_scales_with_n():
         assert stats.n_models == len(brute_force_unions(fam))
         per_n[n] = stats.avg_delay_steps / n
     assert per_n[32] <= 2 * per_n[8]
+
+# the deep-setunion benchmark shape, cut to m=10: disjoint sets of sizes
+# 1 + i % 3, each inside its own 40-element slice of 1..400
+DEEP_SHAPE = SetFamily(400, [tuple(40 * i + 1 + 13 * j for j in range(1 + i % 3)) for i in range(10)])
+
+
+@pytest.mark.parametrize(
+    "fam,n_models,total,max_delay,avg_delay",
+    [
+        (DEEP_SHAPE, 1023, 125910, 952, 123.03225806451613),
+        (
+            SetFamily(12, [(1, 2, 3), (3, 4), (2, 5, 6, 7), (7, 8, 12), (1, 12), (9,), (5, 9, 10, 11), ()]),
+            78, 5020, 205, 63.782051282051285,
+        ),
+        (
+            SetFamily(60, [(4, 11, 16, 44), (9, 13, 20), (1,), (8, 23, 30, 37, 47), (29, 34),
+                           (29, 52), (3, 25), (42,), (20, 30, 33)]),
+            511, 41290, 386, 80.69667318982387,
+        ),
+    ],
+    ids=["deep-shape", "overlapping", "random"],
+)
+def test_step_counts_are_pinned(fam, n_models, total, max_delay, avg_delay):
+    # the element walk's step charges are part of the claim; these figures
+    # were recorded from the recursive walk the frame stack replaced
+    _, stats = measure(lambda c: enum_unions(fam, counter=c))
+    assert stats.n_models == n_models
+    assert stats.total_steps == total
+    assert stats.max_delay_steps == max_delay
+    assert stats.avg_delay_steps == pytest.approx(avg_delay, rel=1e-12)
+
+
+@st.composite
+def wide_families(draw):
+    n = draw(st.integers(1, 4000))
+    m = draw(st.integers(1, 8))
+    elems = st.integers(1, n)
+    sets = draw(st.lists(st.lists(elems, max_size=12, unique=True), min_size=m, max_size=m))
+    return SetFamily(n, sets)
+
+
+@settings(max_examples=150)
+@given(wide_families())
+def test_wide_universe_matches_brute_force(fam):
+    # the oracle's cost depends on m only, so n can go far past any
+    # recursion limit
+    got = list(enum_unions(fam))
+    assert got == brute_force_unions(fam)
+    assert all(a < b for a, b in zip(got, got[1:]))
+
+
+def test_walk_depth_needs_no_recursion():
+    fam = SetFamily(400, [(1,), (200, 201), (400,)])
+    # 50 frames: far fewer than the 400 elements the walk decides
+    with shallow_recursion_limit(50):
+        got = list(enum_unions(fam))
+    assert got == brute_force_unions(fam)
+
+
+def test_cli_on_a_wide_universe(tmp_path):
+    f = tmp_path / "wide.sets"
+    f.write_text("p sets 3000 3\n1 0\n1500 1501 0\n3000 0\n")
+    argv, env = cli_launch(["--algo", "setunion", "--format", "bits", str(f)])
+    r = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0
+    assert r.stderr == ""
+    lines = r.stdout.splitlines()
+    assert len(lines) == 7
+    assert all(len(line) == 3000 for line in lines)
