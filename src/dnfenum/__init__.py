@@ -25,7 +25,7 @@ from .core import (
     satisfies,
     term_models_count,
 )
-from .graycode import GrayState, enum_single_term_dnf, enum_term_models, gray_next
+from .graycode import GrayState, enum_single_term_dnf, enum_term_models
 from .instances import generate
 from .instrument import DelayStats, StepCounter, measure
 from .kdnf import KdnfConfig, enum_kdnf, enum_kdnf_hybrid, step_constant
@@ -84,7 +84,6 @@ __all__ = [
     "enum_unions",
     "extendable_union",
     "generate",
-    "gray_next",
     "lit_index",
     "make_term",
     "mask_from_bits",

@@ -43,20 +43,15 @@ def _trie_dfs(
     ctr: StepCounter,
     *,
     fast: bool,
-    pc: list | None = None,
     node_hook=None,
     branch_log: list | None = None,
 ):
     """DFS over assignments to `active` guided by the trie `tt`.
 
     Yields model masks; `base_mask` must be 0 on every active position.
-    `pc` is a one-slot list holding the previously emitted mask (shared
-    with the caller so nested enumerations count output deltas correctly).
-    `node_hook(tt, active, pos, mask, pc)` may return a generator that
-    takes over the whole subtree at that node.
+    `node_hook(tt, active, pos, mask)` may return a generator that takes
+    over the whole subtree at that node.
     """
-    if pc is None:
-        pc = [None]
     n = tt.n
     L = len(active)
 
@@ -65,9 +60,7 @@ def _trie_dfs(
             return
         mask = base_mask
         if L == 0:
-            p = pc[0]
-            ctr.n += (n if p is None else (mask ^ p).bit_count()) + 1
-            pc[0] = mask
+            ctr.charge_output(mask, n)
             yield mask
             return
         counts: list = [None] * L
@@ -77,7 +70,7 @@ def _trie_dfs(
         while True:
             if trying == 0 and counts[pos] is None:
                 if node_hook is not None:
-                    sub = node_hook(tt, active, pos, mask, pc)
+                    sub = node_hook(tt, active, pos, mask)
                     if sub is not None:
                         yield from sub
                         trying = 2
@@ -110,9 +103,7 @@ def _trie_dfs(
                 chosen[pos] = trying
                 pos += 1
                 if pos == L:
-                    p = pc[0]
-                    ctr.n += (n if p is None else (mask ^ p).bit_count()) + 1
-                    pc[0] = mask
+                    ctr.charge_output(mask, n)
                     yield mask
                     pos -= 1
                     tt.undo(tokens[pos])

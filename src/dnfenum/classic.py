@@ -16,7 +16,7 @@ from __future__ import annotations
 from .core import Dnf
 from .graycode import GrayState, term_start_mask
 from .instrument import StepCounter
-from .trie import SORTED_LIST, Trie
+from .trie import Trie
 
 
 def enum_union_priority(d: Dnf, *, counter: StepCounter | None = None):
@@ -86,7 +86,7 @@ def enum_union_ordered(d: Dnf, *, counter: StepCounter | None = None):
         starts.append(start)
         frees.append(free)
     idx = [0] * m  # next free-bits pattern per term, MSB on lowest var
-    frontier = Trie(2, rep=SORTED_LIST, counter=ctr)
+    frontier = Trie(2, counter=ctr)
 
     def term_mask(i: int) -> int:
         mask = starts[i]

@@ -9,19 +9,10 @@ i models the next flip lands on slot trailing_zeros(i+1).
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .core import Dnf, Term
 from .instrument import StepCounter
-
-
-def gray_flips(f: int) -> Iterator[int]:
-    """Slot indices (0-based) flipped by a full walk over f bits.
-
-    Yields 2^f - 1 indices; slot 0 flips every other step.
-    """
-    for i in range(1, 1 << f):
-        yield (i & -i).bit_length() - 1
 
 
 class GrayState:
@@ -49,18 +40,6 @@ class GrayState:
         self.i = i
         ctr.n += 2
         return self.mask
-
-
-def gray_next(g: GrayState, counter: StepCounter | None = None) -> int | None:
-    """Advance the walk; returns the 1-based flipped slot, or None when done."""
-    if g.i >= g.total - 1:
-        return None
-    g.i += 1
-    p = (g.i & -g.i).bit_length()
-    g.mask ^= g.free_bits[p - 1]
-    if counter is not None:
-        counter.n += 2
-    return p
 
 
 def term_start_mask(t: Term, n: int, ctr: StepCounter) -> tuple[int, list[int]]:

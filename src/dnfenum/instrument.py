@@ -25,13 +25,25 @@ from typing import Callable, Iterator
 
 
 class StepCounter:
-    """Mutable step tally plus a coarse gauge of allocated trie nodes."""
+    """Mutable step tally plus a coarse gauge of allocated trie nodes.
 
-    __slots__ = ("n", "nodes")
+    It also remembers the last model charged through charge_output, so
+    enumerators nested on one counter price their outputs as one stream.
+    """
+
+    __slots__ = ("n", "nodes", "last")
 
     def __init__(self) -> None:
         self.n = 0
         self.nodes = 0
+        self.last = None
+
+    def charge_output(self, mask: int, n: int) -> None:
+        """Charge one output of n variables: the bits that differ from the
+        last output (all n for the first), plus one step."""
+        last = self.last
+        self.n += (n if last is None else (mask ^ last).bit_count()) + 1
+        self.last = mask
 
     def __repr__(self) -> str:
         return f"StepCounter(n={self.n}, nodes={self.nodes})"

@@ -244,7 +244,6 @@ def _enum_kdnf_impl(d: Dnf, cfg: KdnfConfig, ctr: StepCounter, *, hybrid: bool, 
     root = _make_frame(tt, 0, tuple(range(1, n + 1)), min_word, cfg, ctr, n)
     budget = cfg.d * cfg.A
     cutoff = cfg.lam * cfg.k
-    pc = [None]
 
     def run_slice(F):
         allowance = budget
@@ -260,7 +259,7 @@ def _enum_kdnf_impl(d: Dnf, cfg: KdnfConfig, ctr: StepCounter, *, hybrid: bool, 
         while stack:
             F = stack[-1]
             if not F.emitted and hybrid and len(F.unassigned) < cutoff:
-                sub = _trie_dfs(F.tt, list(F.unassigned), F.assign, ctr, fast=True, pc=pc)
+                sub = _trie_dfs(F.tt, list(F.unassigned), F.assign, ctr, fast=True)
                 if tag:
                     for mk in sub:
                         yield mk, F.path
@@ -283,9 +282,7 @@ def _enum_kdnf_impl(d: Dnf, cfg: KdnfConfig, ctr: StepCounter, *, hybrid: bool, 
                 continue
             if F.builder is not None:
                 run_slice(F)
-            p = pc[0]
-            ctr.n += (n if p is None else (mask ^ p).bit_count()) + 1
-            pc[0] = mask
+            ctr.charge_output(mask, n)
             yield (mask, F.path) if tag else mask
 
     return gen()

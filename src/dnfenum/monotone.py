@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from .avg import MODE_FAST, _trie_dfs, enum_avg
 from .core import Dnf, Term
 from .instrument import StepCounter
-from .trie import ARRAY, SORTED_LIST, TermTrie, Trie
+from .trie import TermTrie, Trie
 
 
 @dataclass(frozen=True)
@@ -134,8 +134,7 @@ def enum_monotone_rs(md, *, counter: StepCounter | None = None, on_discard=None)
     md = minimize_monotone(_as_mono(md), counter=ctr)
     d = md.dnf
     n = d.n
-    model_trie = Trie(2, rep=SORTED_LIST, counter=ctr)
-    pc = [None]
+    model_trie = Trie(2, counter=ctr)
 
     def word_of(mask: int) -> tuple[int, ...]:
         return tuple((mask >> (n - 1 - j)) & 1 for j in range(n))
@@ -155,9 +154,7 @@ def enum_monotone_rs(md, *, counter: StepCounter | None = None, on_discard=None)
                 fresh = model_trie.insert(word_of(mask))
                 if not fresh:
                     raise RuntimeError("reverse-search visit repeated a model")
-                p = pc[0]
-                ctr.n += (n if p is None else (mask ^ p).bit_count()) + 1
-                pc[0] = mask
+                ctr.charge_output(mask, n)
                 yield mask
                 succs = []
                 for j in range(cur.last + 1, len(free)):
@@ -184,7 +181,7 @@ def enum_monotone_avg(md, *, counter: StepCounter | None = None):
     return enum_avg(md.dnf, MODE_FAST, counter=counter)
 
 
-def _complement_phase(tt: TermTrie, live: list[int], base_mask: int, pc: list, ctr: StepCounter, n: int):
+def _complement_phase(tt: TermTrie, live: list[int], base_mask: int, ctr: StepCounter, n: int):
     """Enumerate the subtree after re-encoding terms by their missing vars.
 
     The complement trie's alphabet is variable indices.  Setting x to 0
@@ -201,7 +198,7 @@ def _complement_phase(tt: TermTrie, live: list[int], base_mask: int, pc: list, c
     for i in range(L - 1, -1, -1):
         suf[i] = suf[i + 1] | bits[i]
     idx = {v: i for i, v in enumerate(live)}
-    ct = Trie(n + 1, rep=ARRAY, counter=ctr)
+    ct = Trie(n + 1, counter=ctr)
     for w in tt.iter_words():
         tvars = [s // 2 + 1 for s in w]
         comp = []
@@ -215,38 +212,10 @@ def _complement_phase(tt: TermTrie, live: list[int], base_mask: int, pc: list, c
         ct.insert(tuple(comp))
     ctr.n += 2 * L + 2
 
-    def rule_in(root, x: int, kid) -> list:
-        # x -> 1: every term survives; strip x where present (small into large)
-        cnt_x = kid.count
-        rest = root.count - cnt_x
-        token: list = []
-        if cnt_x <= rest:
-            ct._pop_child(root, x)
-            root.count -= cnt_x
-            ctr.n += 1
-            token.append(("detach", root, x, kid))
-            for w in ct.iter_words(kid):
-                if ct.insert(w):
-                    token.append(("ins", w))
-        else:
-            token.append(("root", root))
-            ct.root = kid
-            if root.word:
-                if ct.insert(()):
-                    token.append(("ins", ()))
-            for s, k2 in ct._child_items(root):
-                if s == x:
-                    continue
-                for w in ct.iter_words(k2):
-                    full = (s,) + w
-                    if ct.insert(full):
-                        token.append(("ins", full))
-        return token
-
     def walk():
-        # the open branches, innermost last: (i, mask, x, root, kid, token),
-        # with token None while "x -> 0" runs and the undo token of the
-        # strip once "x -> 1" runs
+        # the open branches, innermost last: (i, mask, x, root, token), with
+        # token None while "x -> 0" runs and the undo token of the strip
+        # once "x -> 1" runs
         frames: list = []
         i = 0
         mask = base_mask
@@ -263,31 +232,29 @@ def _complement_phase(tt: TermTrie, live: list[int], base_mask: int, pc: list, c
                     mask |= suf[i] ^ suf[j]
                     ctr.n += 2
                     i = j
-                kid = ct._get(root, x)
                 ctr.n += 2
                 # x -> 0: only the terms missing x survive, already rooted
                 # at child(x)
-                ct.root = kid
-                frames.append((i, mask, x, root, kid, None))
+                ct.root = ct._get(root, x)
+                frames.append((i, mask, x, root, None))
                 i += 1
                 continue
             # lone fully-shrunk term: every remaining variable is in it
             out = mask | suf[i]
-            p = pc[0]
-            ctr.n += (n if p is None else (out ^ p).bit_count()) + 1
-            pc[0] = out
+            ctr.charge_output(out, n)
             yield out
             # close "x -> 1" branches up to the innermost open "x -> 0" one,
             # then switch that one to "x -> 1"
             while frames:
-                i, mask, x, root, kid, token = frames.pop()
+                i, mask, x, root, token = frames.pop()
                 if token is None:
                     break
                 ct.undo(token)
             else:
                 return
+            # x -> 1: every term survives, and x leaves the words that have it
             ct.root = root
-            frames.append((i, mask, x, root, kid, rule_in(root, x, kid)))
+            frames.append((i, mask, x, root, ct.strip_first(x)))
             mask |= bits[idx[x]]
             i += 1
 
@@ -316,9 +283,9 @@ def enum_monotone_log(md, *, counter: StepCounter | None = None, switch_log: lis
         # the complement build is paid before the first output
         if switch_log is not None:
             switch_log.append((0, m, n - tt.root.minlen))
-        return _complement_phase(tt, active, 0, [None], ctr, n)
+        return _complement_phase(tt, active, 0, ctr, n)
 
-    def hook(tt_, active_, pos, mask, pc):
+    def hook(tt_, active_, pos, mask):
         n_tau = len(active_) - pos
         m_tau = tt_.root.count
         maxcomp = n_tau - tt_.root.minlen
@@ -326,7 +293,7 @@ def enum_monotone_log(md, *, counter: StepCounter | None = None, switch_log: lis
         if maxcomp < math.log2(m_tau) + log2n2:
             if switch_log is not None:
                 switch_log.append((pos, m_tau, maxcomp))
-            return _complement_phase(tt_, active_[pos:], mask, pc, ctr, n)
+            return _complement_phase(tt_, active_[pos:], mask, ctr, n)
         return None
 
     return _trie_dfs(tt, active, 0, ctr, fast=True, node_hook=hook)

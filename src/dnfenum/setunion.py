@@ -33,7 +33,7 @@ from typing import Iterable, Mapping
 
 from .core import DnfFormatError
 from .instrument import StepCounter
-from .trie import ARRAY, Trie
+from .trie import Trie
 
 
 @dataclass(frozen=True)
@@ -174,22 +174,13 @@ def enum_unions(fam: SetFamily, *, counter: StepCounter | None = None):
     n = fam.n
     m = fam.m
     masks = fam.masks()
-    trie = Trie(n + 1, rep=ARRAY, counter=ctr)
+    trie = Trie(n + 1, counter=ctr)
     for i, s in enumerate(fam.sets):
         fresh, leaf = trie.insert_get(s)
         if fresh is None:
             raise RuntimeError(f"set {s} is in the family twice")
         leaf.data = [i]
     alive = [True] * m
-
-    def merge_in(w: tuple[int, ...], data: list, token: list) -> None:
-        fresh, leaf = trie.insert_get(w)
-        if fresh is not None:
-            token.append(("ins", w))
-            leaf.data = list(data)
-        else:
-            token.append(("data", leaf, leaf.data))
-            leaf.data = leaf.data + data
 
     def kill_subtree(node) -> list[int]:
         died: list[int] = []
@@ -207,40 +198,10 @@ def enum_unions(fam: SetFamily, *, counter: StepCounter | None = None):
         ctr.n += seen + len(died) + 1
         return died
 
-    def rule_in(root, e: int, kid) -> list:
-        # e in the union: some live set must contain it; every set survives,
-        # words starting with e lose it (small side merges into large)
-        token: list = []
-        cnt = kid.count
-        if cnt <= root.count - cnt:
-            trie._pop_child(root, e)
-            root.count -= cnt
-            token.append(("detach", root, e, kid))
-            stack = [(kid, ())]
-        else:
-            token.append(("root", root))
-            trie.root = kid
-            if root.word:
-                merge_in((), root.data, token)
-            # reversed, so that each child's subtree is walked whole, in
-            # child order
-            stack = [(k2, (s,)) for s, k2 in trie._child_items(root) if s != e]
-            stack.reverse()
-        ctr.n += 1
-        while stack:
-            nd, w = stack.pop()
-            ctr.n += 1
-            if nd.word:
-                merge_in(w, nd.data, token)
-            for s, k2 in trie._child_items(nd):
-                stack.append((k2, w + (s,)))
-        return token
-
     def walk():
         live = m
-        prev = None
-        # the open branches, innermost last: (e, ones, kid, token, died)
-        # while "e out" runs, (e, ones, None, token, None) while "e in" runs
+        # the open branches, innermost last: (e, ones, token, died) while
+        # "e out" runs, (e, ones, token, None) while "e in" runs
         frames: list = []
         e = 1
         ones = 0
@@ -253,10 +214,9 @@ def enum_unions(fam: SetFamily, *, counter: StepCounter | None = None):
                 skip = (ahead & -ahead).bit_length() - 1
                 e += skip
                 ctr.n += skip + 1
-                kid = trie._get(root, e)
                 # e out of the union: sets containing e die; the survivors'
                 # union must still cover the elements already ruled in
-                trie._pop_child(root, e)
+                kid = trie._pop_child(root, e)
                 root.count -= kid.count
                 token = [("detach", root, e, kid)]
                 died = kill_subtree(kid)
@@ -266,7 +226,7 @@ def enum_unions(fam: SetFamily, *, counter: StepCounter | None = None):
                     if alive[i]:
                         u |= masks[i]
                 ctr.n += m + 1
-                frames.append((e, ones, kid, token, died))
+                frames.append((e, ones, token, died))
                 if ones & ~u == 0 and (u != 0 or (ones == 0 and live > 0)):
                     e += 1
                     continue
@@ -274,14 +234,13 @@ def enum_unions(fam: SetFamily, *, counter: StepCounter | None = None):
                 # no root child left: e..n are ruled out, and this is a leaf
                 ctr.n += n + 1 - e
                 if live:
-                    ctr.n += (n if prev is None else (ones ^ prev).bit_count()) + 1
-                    prev = ones
+                    ctr.charge_output(ones, n)
                     yield ones
             # close "e in" branches up to the innermost open "e out" one,
             # then switch that one to "e in"
             while frames:
-                e, ones, kid, token, died = frames.pop()
-                if kid is not None:
+                e, ones, token, died = frames.pop()
+                if died is not None:
                     break
                 trie.undo(token)
             else:
@@ -290,7 +249,9 @@ def enum_unions(fam: SetFamily, *, counter: StepCounter | None = None):
                 alive[i] = True
             live += len(died)
             trie.undo(token)
-            frames.append((e, ones, None, rule_in(trie.root, e, kid), None))
+            # e in the union: every set survives, and the words starting
+            # with e lose it
+            frames.append((e, ones, trie.strip_first(e), None))
             ones |= 1 << (n - e)
             e += 1
 

@@ -1,27 +1,22 @@
 """Tries over small integer alphabets.
 
-Words are tuples of symbols.  Two child representations are supported:
-
-* ``sorted``: children kept in a sorted list, O(alphabet) per child
-  operation.  Used for model tries over the binary alphabet, where ordered
-  iteration gives lexicographic minimum extraction.
-* ``array``: children in a fixed-size slot array with lazy initialisation.
-  A slot holds an index into a stack of (symbol, node) entries and is valid
-  only if the entry at that index points back at the symbol, so fresh arrays
-  are usable without zeroing.  Child operations are O(1), and any word
-  operation visits O(|word|) nodes regardless of alphabet size.
-
-Array nodes store their first child in two dedicated fields and only
-allocate the slot array when a second child shows up; long unary chains,
-the common case in term tries, stay cheap.
+Words are tuples of symbols.  Every node keeps its children in one layout: a
+lone child sits in two plain fields (``s0``/``k0``), and once a second child
+arrives all of them move into one dict keyed by symbol, which keeps
+insertion order.  Long unary chains, the common case in term tries, thus
+cost no dict, and child operations are O(1) whatever the alphabet.  Each
+node also keeps ``cmask``, the bitmask of its child symbols, so its smallest
+child is one find-first-set away.
 
 Every node carries the number of words in its subtree, which is what the
-enumeration algorithms read to decide how to branch.  :class:`TermTrie`
-adds the DNF-specific mutations: restricting a variable in place, either by
-reinserting the stripped terms (set_variable) or by re-rooting on the
-subtree of one literal and merging the smaller remainder into it
-(set_variable_fast).  Both return an undo token; applying tokens in LIFO
-order restores the exact prior word set.
+enumeration algorithms read to decide how to branch.  The in-place
+restriction is strip_first(s): drop s from the words that start with it by
+merging the smaller side into the larger one, either child(s) into the
+root or the rest of the root into child(s).  :class:`TermTrie` adds the
+DNF-specific restrictions on the same merge loop: set_variable reinserts
+the stripped terms, set_variable_fast re-roots on the subtree of one
+literal.  Each returns an undo token; applying tokens in LIFO order restores
+the exact prior word set.
 """
 
 from __future__ import annotations
@@ -31,31 +26,20 @@ from typing import Iterable, Iterator, Sequence
 from .core import Dnf, Term, lit_index
 from .instrument import StepCounter
 
-SORTED_LIST = "sorted"
-ARRAY = "array"
-
 #: "no words below" sentinel for minlen tracking
 NO_WORDS = 1 << 30
 
-# Junk fill for fresh slot arrays.  Validation never trusts slot contents,
-# so tests may set this to anything.
-_FILL = -0x7EAD
-
 
 class _Node:
-    __slots__ = ("s0", "k0", "arr", "syms", "kids", "word", "count", "minlen", "cmask", "data")
+    __slots__ = ("s0", "k0", "kids", "word", "count", "minlen", "cmask", "data")
 
     def __init__(self) -> None:
         self.s0 = -1
         self.k0 = None
-        self.arr = None
-        self.syms = None
         self.kids = None
         self.word = False
         self.count = 0
         self.minlen = NO_WORDS
-        # bitmask of present child symbols: the smallest child is one
-        # find-first-set away, a single word operation on small alphabets
         self.cmask = 0
         self.data = None
 
@@ -64,15 +48,10 @@ class Trie:
     def __init__(
         self,
         alphabet: int,
-        rep: str = ARRAY,
         counter: StepCounter | None = None,
         track_minlen: bool = False,
     ):
-        if rep not in (ARRAY, SORTED_LIST):
-            raise ValueError(f"unknown child representation {rep!r}")
         self.alphabet = alphabet
-        self.rep = rep
-        self.array_rep = rep == ARRAY
         self.counter = counter if counter is not None else StepCounter()
         self.track_minlen = track_minlen
         self.root = _Node()
@@ -86,105 +65,39 @@ class Trie:
     # -- child plumbing ----------------------------------------------------
 
     def _get(self, node: _Node, s: int) -> _Node | None:
-        if self.array_rep:
-            if node.s0 == s:
-                return node.k0
-            syms = node.syms
-            if syms is None:
-                return None
-            i = node.arr[s]
-            if 0 <= i < len(syms) and syms[i] == s:
-                return node.kids[i]
-            return None
-        syms = node.syms
-        if syms is None:
-            return None
-        for i, t in enumerate(syms):
-            if t == s:
-                return node.kids[i]
-            if t > s:
-                return None
-        return None
+        if node.s0 == s:
+            return node.k0
+        kids = node.kids
+        return kids.get(s) if kids is not None else None
 
     def _put(self, node: _Node, s: int, child: _Node) -> None:
         node.cmask |= 1 << s
-        if self.array_rep:
-            if node.s0 < 0 and node.syms is None:
+        kids = node.kids
+        if kids is None:
+            if node.s0 < 0:
                 node.s0 = s
                 node.k0 = child
                 return
-            if node.syms is None:
-                # second child: spill into the lazy array
-                node.arr = [_FILL] * self.alphabet
-                node.syms = [node.s0]
-                node.kids = [node.k0]
-                node.arr[node.s0] = 0
-                node.s0 = -1
-                node.k0 = None
-            node.arr[s] = len(node.syms)
-            node.syms.append(s)
-            node.kids.append(child)
-            return
-        if node.syms is None:
-            node.syms = [s]
-            node.kids = [child]
-            return
-        i = 0
-        syms = node.syms
-        while i < len(syms) and syms[i] < s:
-            i += 1
-        syms.insert(i, s)
-        node.kids.insert(i, child)
+            # second child: all children move into the dict
+            kids = node.kids = {node.s0: node.k0}
+            node.s0 = -1
+            node.k0 = None
+        kids[s] = child
 
     def _pop_child(self, node: _Node, s: int) -> _Node | None:
-        if self.array_rep:
-            if node.s0 == s:
-                k = node.k0
-                node.s0 = -1
-                node.k0 = None
-                node.cmask &= ~(1 << s)
-                return k
-            syms = node.syms
-            if syms is None:
-                return None
-            i = node.arr[s]
-            if not (0 <= i < len(syms) and syms[i] == s):
-                return None
-            k = node.kids[i]
-            last = len(syms) - 1
-            if i != last:
-                syms[i] = syms[last]
-                node.kids[i] = node.kids[last]
-                node.arr[syms[i]] = i
-            syms.pop()
-            node.kids.pop()
-            node.cmask &= ~(1 << s)
-            return k
-        syms = node.syms
-        if syms is None:
+        if node.s0 == s:
+            k = node.k0
+            node.s0 = -1
+            node.k0 = None
+        elif node.kids is None or (k := node.kids.pop(s, None)) is None:
             return None
-        for i, t in enumerate(syms):
-            if t == s:
-                k = node.kids[i]
-                syms.pop(i)
-                node.kids.pop(i)
-                node.cmask &= ~(1 << s)
-                return k
-            if t > s:
-                return None
-        return None
+        node.cmask ^= 1 << s
+        return k
 
-    def _child_items(self, node: _Node) -> Iterator[tuple[int, _Node]]:
+    def _child_items(self, node: _Node) -> Iterable[tuple[int, _Node]]:
         if node.s0 >= 0:
-            yield node.s0, node.k0
-        if node.syms:
-            yield from zip(node.syms, node.kids)
-
-    def _n_children(self, node: _Node) -> int:
-        n = 1 if node.s0 >= 0 else 0
-        if node.syms:
-            n += len(node.syms)
-        return n
+            return ((node.s0, node.k0),)
+        return node.kids.items() if node.kids else ()
 
     def _recalc_minlen(self, node: _Node) -> None:
         m = 0 if node.word else NO_WORDS
@@ -295,15 +208,16 @@ class Trie:
     def iter_words(self, start: _Node | None = None) -> Iterator[tuple[int, ...]]:
         """All words in the subtree, as suffixes relative to `start`.
 
-        Deterministic order: insertion order for array children, symbol
-        order for sorted children.  The empty word, if present, comes first.
+        Deterministic order: a word before its extensions, and each node's
+        children in insertion order (a child detached and put back counts as
+        inserted anew).  The empty word, if present, comes first.
         """
         ctr = self.counter
         node = self.root if start is None else start
         ctr.n += 1
         if node.word:
             yield ()
-        stack = [self._child_items(node)]
+        stack = [iter(self._child_items(node))]
         syms: list[int] = []
         while stack:
             nxt = next(stack[-1], None)
@@ -317,10 +231,10 @@ class Trie:
             syms.append(s)
             if kid.word:
                 yield tuple(syms)
-            stack.append(self._child_items(kid))
+            stack.append(iter(self._child_items(kid)))
 
     def min_word(self) -> tuple[tuple[int, ...], _Node] | None:
-        """Lexicographically smallest word and its leaf (sorted rep only)."""
+        """Lexicographically smallest word and its leaf, or None if empty."""
         node = self.root
         out: list[int] = []
         ctr = self.counter
@@ -328,26 +242,75 @@ class Trie:
             ctr.n += 1
             if node.word:
                 return tuple(out), node
-            if not node.syms:
+            cm = node.cmask
+            if not cm:
                 return None
-            out.append(node.syms[0])
-            node = node.kids[0]
+            s = (cm & -cm).bit_length() - 1
+            out.append(s)
+            node = self._get(node, s)
+
+    # -- strip and merge ---------------------------------------------------
+
+    def strip_first(self, s: int) -> list:
+        """Strip the symbol s from the words that start with it, in place.
+
+        Every word survives, and the smaller side moves: either child(s) is
+        detached and its words are merged in at the root, or child(s)
+        becomes the root and the root's other words are merged into it.
+        Leaf payload lists travel with their words; where a moved word meets
+        one already there, the lists are concatenated.  child(s) must exist,
+        and the trie must not track minlen.  Charges one step, plus the
+        merge.  Returns an undo token.
+        """
+        root = self.root
+        kid = self._get(root, s)
+        cnt = kid.count
+        self.counter.n += 1
+        if cnt <= root.count - cnt:
+            self._pop_child(root, s)
+            root.count -= cnt
+            token = [("detach", root, s, kid)]
+            self._merge(kid, (), token)
+        else:
+            token = [("root", root)]
+            self.root = kid
+            if root.word:
+                self._merge_word((), root.data, token)
+            for t, sub in self._child_items(root):
+                if t != s:
+                    self._merge(sub, (t,), token)
+        return token
+
+    def _merge(self, node: _Node, prefix: tuple[int, ...], token: list) -> None:
+        """Insert prefix + each word below `node` at the root, logging to token.
+
+        `node` must not be reachable from the root.  Charges one step per
+        node visited, plus the inserts; words go in iter_words order.
+        """
+        ctr = self.counter
+        stack = [(node, prefix)]
+        while stack:
+            nd, w = stack.pop()
+            ctr.n += 1
+            if nd.word:
+                self._merge_word(w, nd.data, token)
+            if nd.s0 >= 0:
+                stack.append((nd.k0, w + (nd.s0,)))
+            elif nd.kids:
+                # reversed, so that the first child is walked next
+                stack.extend([(k, w + (t,)) for t, k in reversed(nd.kids.items())])
+
+    def _merge_word(self, w: tuple[int, ...], data: list | None, token: list) -> None:
+        fresh, leaf = self.insert_get(w)
+        if fresh is not None:
+            token.append(("ins", w))
+            if data is not None:
+                leaf.data = list(data)
+        elif data is not None:
+            token.append(("data", leaf, leaf.data))
+            leaf.data = leaf.data + data
 
     # -- undo log ------------------------------------------------------------
-
-    def snapshot_node(self, node: _Node) -> tuple:
-        return (
-            node,
-            node.s0,
-            node.k0,
-            node.arr,
-            node.syms,
-            node.kids,
-            node.word,
-            node.count,
-            node.minlen,
-            node.cmask,
-        )
 
     def undo(self, token: list) -> None:
         """Reverse one mutation token; tokens must unwind in LIFO order.
@@ -374,16 +337,7 @@ class Trie:
             elif tag == "data":
                 op[1].data = op[2]
             elif tag == "restore":
-                (node, s0, k0, arr, syms, kids, word, count, minlen, cmask) = op[1]
-                node.s0 = s0
-                node.k0 = k0
-                node.arr = arr
-                node.syms = syms
-                node.kids = kids
-                node.word = word
-                node.count = count
-                node.minlen = minlen
-                node.cmask = cmask
+                node, node.s0, node.k0, node.kids, node.word, node.count, node.minlen, node.cmask = op[1]
             else:
                 raise ValueError(f"bad undo op {tag!r}")
 
@@ -397,25 +351,13 @@ class TermTrie(Trie):
     with neither) that drives the branching enumerators.
     """
 
-    def __init__(
-        self,
-        n: int,
-        counter: StepCounter | None = None,
-        rep: str = ARRAY,
-        track_minlen: bool = False,
-    ):
-        super().__init__(2 * n, rep=rep, counter=counter, track_minlen=track_minlen)
+    def __init__(self, n: int, counter: StepCounter | None = None, track_minlen: bool = False):
+        super().__init__(2 * n, counter=counter, track_minlen=track_minlen)
         self.n = n
 
     @classmethod
-    def from_dnf(
-        cls,
-        d: Dnf,
-        counter: StepCounter | None = None,
-        rep: str = ARRAY,
-        track_minlen: bool = False,
-    ) -> "TermTrie":
-        tt = cls(d.n, counter=counter, rep=rep, track_minlen=track_minlen)
+    def from_dnf(cls, d: Dnf, counter: StepCounter | None = None, track_minlen: bool = False) -> "TermTrie":
+        tt = cls(d.n, counter=counter, track_minlen=track_minlen)
         for t in d.terms:
             tt.insert(tuple(lit_index(lit) for lit in t))
         return tt
@@ -423,9 +365,6 @@ class TermTrie(Trie):
     @property
     def m(self) -> int:
         return self.root.count
-
-    def insert_term(self, t: Term) -> bool:
-        return self.insert(tuple(lit_index(lit) for lit in t))
 
     def decode(self) -> list[Term]:
         """The current word set as canonical terms, sorted in trie order."""
@@ -449,12 +388,12 @@ class TermTrie(Trie):
 
     # -- in-place restriction with undo -------------------------------------
 
-    def _absorb(self, node: _Node) -> None:
+    def _absorb(self, node: _Node, token: list) -> None:
         # an empty term appeared: it absorbs every other term
+        snap = (node, node.s0, node.k0, node.kids, node.word, node.count, node.minlen, node.cmask)
+        token.append(("restore", snap))
         node.s0 = -1
         node.k0 = None
-        node.arr = None
-        node.syms = None
         node.kids = None
         node.word = True
         node.count = 1
@@ -472,16 +411,14 @@ class TermTrie(Trie):
         root = self.root
         if root.word:
             return token
-        if b == 1:
-            sat, fal = 2 * v - 1, 2 * v - 2
-        else:
-            sat, fal = 2 * v - 2, 2 * v - 1
+        # literal ranks: 2v-2 is -v and 2v-1 is v
+        sat = 2 * v - 2 + b
         ctr = self.counter
-        dead = self._pop_child(root, fal)
+        dead = self._pop_child(root, sat ^ 1)
         ctr.n += 1
         if dead is not None:
             root.count -= dead.count
-            token.append(("detach", root, fal, dead))
+            token.append(("detach", root, sat ^ 1, dead))
         strip = self._pop_child(root, sat)
         ctr.n += 1
         if strip is not None:
@@ -490,13 +427,12 @@ class TermTrie(Trie):
         if self.track_minlen and (dead is not None or strip is not None):
             self._recalc_minlen(root)
         if strip is not None:
-            for w in self.iter_words(strip):
-                if not w:
-                    token.append(("restore", self.snapshot_node(root)))
-                    self._absorb(root)
-                    break
-                if self.insert(w):
-                    token.append(("ins", w))
+            if strip.word:
+                # the bare literal: its stripped term is empty
+                ctr.n += 1
+                self._absorb(root, token)
+            else:
+                self._merge(strip, (), token)
         return token
 
     def set_variable_fast(self, v: int, b: int = 1) -> list:
@@ -512,10 +448,7 @@ class TermTrie(Trie):
         root = self.root
         if root.word:
             return token
-        if b == 1:
-            sat, fal = 2 * v - 1, 2 * v - 2
-        else:
-            sat, fal = 2 * v - 2, 2 * v - 1
+        sat = 2 * v - 2 + b
         ctr = self.counter
         base = self._get(root, sat)
         ctr.n += 1
@@ -527,15 +460,10 @@ class TermTrie(Trie):
         self.root = base
         if base.word:
             # the term was the bare literal on v: tautology below this point
-            if self._n_children(base):
-                token.append(("restore", self.snapshot_node(base)))
-                self._absorb(base)
+            if base.cmask:
+                self._absorb(base, token)
             return token
         for s, kid in self._child_items(root):
-            if s == sat or s == fal:
-                continue
-            for w in self.iter_words(kid):
-                full = (s,) + w
-                if self.insert(full):
-                    token.append(("ins", full))
+            if s != sat and s != sat ^ 1:
+                self._merge(kid, (s,), token)
         return token

@@ -10,6 +10,7 @@ from conftest import dnfs, random_dnf
 from dnfenum.avg import GAMMA, MODE_FAST, MODE_SLOW, enum_avg, min_models_bound
 from dnfenum.classic import enum_flashlight
 from dnfenum.core import Dnf, all_terms, brute_force_models, restrict
+from dnfenum.instances import generate
 from dnfenum.instrument import measure
 
 
@@ -59,7 +60,7 @@ def test_every_visited_node_keeps_the_model_bound():
             continue
         seen = []
 
-        def hook(tt, active, pos, mask, pc):
+        def hook(tt, active, pos, mask):
             live = tt.to_dnf()
             if not live.is_tautology():
                 seen.append((live, pos))
@@ -109,3 +110,25 @@ def test_average_delay_beats_slow_mode_on_dense_input():
     _, fast = measure(lambda ctr: enum_avg(d, MODE_FAST, counter=ctr), collect=False)
     assert fast.n_models == slow.n_models
     assert fast.avg_delay_steps <= slow.avg_delay_steps
+
+
+# a fixed random formula: 24 signed terms over n=10
+PINNED_DNF = generate("random", 10, 24, seed=3)
+
+
+@pytest.mark.parametrize(
+    "mode,n_models,total,max_delay,avg_delay",
+    [
+        (MODE_SLOW, 980, 7365, 290, 7.251020408163265),
+        (MODE_FAST, 980, 7158, 290, 7.039795918367347),
+    ],
+    ids=[MODE_SLOW, MODE_FAST],
+)
+def test_step_counts_are_pinned(mode, n_models, total, max_delay, avg_delay):
+    # the trie's restrict and undo charges are part of the claim; these
+    # figures were recorded before the trie moved to one child layout
+    _, stats = measure(lambda c: enum_avg(PINNED_DNF, mode, counter=c))
+    assert stats.n_models == n_models
+    assert stats.total_steps == total
+    assert stats.max_delay_steps == max_delay
+    assert stats.avg_delay_steps == pytest.approx(avg_delay, rel=1e-12)

@@ -1,11 +1,13 @@
 """The three baseline enumerators."""
 
+import pytest
 from hypothesis import given, settings
 
 from conftest import dnfs
 from dnfenum.classic import enum_flashlight, enum_union_ordered, enum_union_priority
 from dnfenum.core import Dnf, brute_force_models, mask_from_bits, parse_dnf
 from dnfenum.graycode import enum_term_models
+from dnfenum.instances import generate
 from dnfenum.instrument import measure
 
 EXAMPLE = parse_dnf("p dnf 3 2\n1 2 0\n-3 0\n")
@@ -73,3 +75,14 @@ def test_flashlight_delay_tracks_formula_size(d):
         # each level touches one occurrence list plus constant bookkeeping,
         # and a root-to-leaf round trip is 2n levels deep at worst
         assert stats.max_delay_steps <= 8 * (d.size + d.n + 2)
+
+
+def test_union_ordered_step_counts_are_pinned():
+    # the frontier trie's charges, recorded before the trie moved to one
+    # child layout
+    d = generate("random", 10, 24, seed=3)
+    _, stats = measure(lambda c: enum_union_ordered(d, counter=c))
+    assert stats.n_models == 980
+    assert stats.total_steps == 90713
+    assert stats.max_delay_steps == 188
+    assert stats.avg_delay_steps == pytest.approx(91.7408163265306, rel=1e-12)

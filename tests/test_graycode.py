@@ -6,33 +6,37 @@ import hypothesis.strategies as st
 
 from conftest import terms
 from dnfenum.core import Dnf, brute_force_models, make_term, mask_from_bits
-from dnfenum.graycode import (
-    GrayState,
-    enum_single_term_dnf,
-    enum_term_models,
-    gray_flips,
-    gray_next,
-)
+from dnfenum.graycode import GrayState, enum_single_term_dnf, enum_term_models
 from dnfenum.instrument import StepCounter, measure
 
 
 def spell_patterns(k: int) -> list[tuple[int, ...]]:
-    """Replay the flip schedule over k slots, starting from all zeros."""
-    cur = [0] * k
-    out = [tuple(cur)]
-    for slot in gray_flips(k):
-        cur[slot] ^= 1
-        out.append(tuple(cur))
+    """Run a full walk over k slots from all zeros; slot j is bit k-1-j."""
+    g = GrayState(0, [1 << (k - 1 - j) for j in range(k)])
+    ctr = StepCounter()
+    masks = [g.mask]
+    while g.remaining():
+        masks.append(g.advance(ctr))
+    assert ctr.n == 2 * (len(masks) - 1)
+    return [tuple(mask >> (k - 1 - j) & 1 for j in range(k)) for mask in masks]
+
+
+def flipped_slots(pats: list[tuple[int, ...]]) -> list[int]:
+    out = []
+    for a, b in zip(pats, pats[1:]):
+        diff = [j for j in range(len(a)) if a[j] != b[j]]
+        assert len(diff) == 1
+        out.append(diff[0])
     return out
 
 
 def test_flip_schedule_two_slots():
-    assert list(gray_flips(2)) == [0, 1, 0]
-    assert spell_patterns(2) == [(0, 0), (1, 0), (1, 1), (0, 1)]
+    pats = spell_patterns(2)
+    assert pats == [(0, 0), (1, 0), (1, 1), (0, 1)]
+    assert flipped_slots(pats) == [0, 1, 0]
 
 
 def test_flip_schedule_zero_slots():
-    assert list(gray_flips(0)) == []
     assert spell_patterns(0) == [()]
 
 
@@ -43,15 +47,22 @@ def test_flip_schedule_visits_everything_once(k):
     assert len(set(pats)) == 2 ** k
 
 
-def test_gray_next_reports_one_based_slot():
-    g = GrayState(0, [0b10, 0b01])
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_flip_schedule_is_the_reflected_one(k):
+    # after i models the next flip lands on slot trailing_zeros(i)
+    slots = flipped_slots(spell_patterns(k))
+    assert slots == [(i & -i).bit_length() - 1 for i in range(1, 1 << k)]
+
+
+def test_advance_counts_and_runs_out():
+    g = GrayState(0b100, [0b10, 0b01])
     ctr = StepCounter()
     seen = []
-    while (p := gray_next(g, ctr)) is not None:
-        seen.append(p)
-    assert seen == [1, 2, 1]
+    while g.remaining():
+        seen.append(g.advance(ctr))
+    assert seen == [0b110, 0b111, 0b101]
+    assert ctr.n == 6
     assert g.remaining() == 0
-    assert gray_next(g, ctr) is None
 
 
 def test_enum_term_models_example():

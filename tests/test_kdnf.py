@@ -13,6 +13,7 @@ from conftest import child_env, dnfs, random_dnf
 from dnfenum.avg import enum_avg
 from dnfenum.core import Dnf, brute_force_models, compatible, make_term, satisfies
 from dnfenum.graycode import enum_term_models
+from dnfenum.instances import generate
 from dnfenum.instrument import measure
 from dnfenum.kdnf import (
     KdnfConfig,
@@ -179,3 +180,24 @@ def test_delay_does_not_grow_with_m():
         _, stats = measure(lambda ctr: enum_kdnf(d, cfg, counter=ctr), limit=20_000, collect=False)
         maxima.append(stats.max_delay_steps)
     assert maxima[1] <= 3 * maxima[0]
+
+
+# a fixed 3-DNF: 12 terms over n=11
+PINNED_DNF = generate("kdnf", 11, 12, k=3, seed=1)
+
+
+@pytest.mark.parametrize(
+    "fn,n_models,total,max_delay,avg_delay",
+    [
+        (enum_kdnf, 2012, 8918, 150, 4.386182902584493),
+        (enum_kdnf_hybrid, 2012, 11079, 150, 5.460238568588469),
+    ],
+    ids=["kdnf", "kdnf-hybrid"],
+)
+def test_step_counts_are_pinned(fn, n_models, total, max_delay, avg_delay):
+    # recorded before the trie moved to one child layout
+    _, stats = measure(lambda c: fn(PINNED_DNF, counter=c))
+    assert stats.n_models == n_models
+    assert stats.total_steps == total
+    assert stats.max_delay_steps == max_delay
+    assert stats.avg_delay_steps == pytest.approx(avg_delay, rel=1e-12)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from conftest import monotone_dnfs, random_dnf, shallow_recursion_limit
 from dnfenum.avg import MODE_FAST, enum_avg
 from dnfenum.core import Dnf, brute_force_models, mask_from_bits, satisfies
+from dnfenum.instances import generate
 from dnfenum.instrument import measure
 from dnfenum.monotone import (
     MonotoneDnf,
@@ -203,7 +204,10 @@ def test_reverse_search_memory_holds_all_models():
     [
         (all_width_terms(6, 5), 7, 225, 13, 10.571428571428571),
         (all_width_terms(8, 4), 163, 5062, 307, 20.478527607361965),
-        (Dnf(8, ((1, 2), (3, 4))), 112, 961, 43, 7.892857142857143),
+        # 1068 steps, not the 961 of the recursive walk: each x -> 1 re-root
+        # now goes through Trie.strip_first, which charges a re-root the one
+        # step that setunion's already paid; the max delay is unchanged
+        (Dnf(8, ((1, 2), (3, 4))), 112, 1068, 43, 8.848214285714286),
     ],
     ids=["width-5-of-6", "width-4-of-8", "two-pairs"],
 )
@@ -225,3 +229,14 @@ def test_complement_walk_needs_no_recursion():
         got = list(enum_monotone_log(md))
     full = (1 << n) - 1
     assert sorted(got) == sorted([full] + [full ^ (1 << (n - v)) for v in range(1, n + 1)])
+
+
+def test_rs_step_counts_are_pinned():
+    # the model trie's charges, recorded before the trie moved to one child
+    # layout
+    md = MonotoneDnf(generate("monotone", 9, 14, seed=5))
+    _, stats = measure(lambda c: enum_monotone_rs(md, counter=c))
+    assert stats.n_models == 459
+    assert stats.total_steps == 12256
+    assert stats.max_delay_steps == 90
+    assert stats.avg_delay_steps == pytest.approx(26.612200435729847, rel=1e-12)

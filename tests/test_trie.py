@@ -1,6 +1,7 @@
-"""Trie behavior: set semantics, restriction with undo, both child layouts."""
+"""Trie behavior: set semantics, strip-and-merge and restriction with undo."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -8,15 +9,13 @@ import hypothesis.strategies as st
 
 from conftest import dnfs
 from dnfenum.core import Dnf, restrict
+from dnfenum.instances import generate
 from dnfenum.instrument import StepCounter
-from dnfenum.trie import ARRAY, SORTED_LIST, NO_WORDS, TermTrie, Trie
-
-REPS = [ARRAY, SORTED_LIST]
+from dnfenum.trie import NO_WORDS, TermTrie, Trie
 
 
-@pytest.mark.parametrize("rep", REPS)
-def test_insert_search_delete_basics(rep):
-    t = Trie(2, rep=rep)
+def test_insert_search_delete_basics():
+    t = Trie(2)
     assert t.insert((1, 1, 0))
     assert len(t) == 1
     assert not t.insert((1, 1, 0))
@@ -33,9 +32,8 @@ def test_insert_search_delete_basics(rep):
     assert len(t) == 2
 
 
-@pytest.mark.parametrize("rep", REPS)
-def test_empty_word(rep):
-    t = Trie(3, rep=rep)
+def test_empty_word():
+    t = Trie(3)
     assert t.insert(())
     assert t.search(()) is not None
     assert len(t) == 1
@@ -44,21 +42,35 @@ def test_empty_word(rep):
 
 
 def test_symbol_out_of_range():
-    t = Trie(2, rep=ARRAY)
+    t = Trie(2)
     with pytest.raises(ValueError):
         t.insert((2,))
     with pytest.raises(ValueError):
         t.insert((-1,))
 
 
-@pytest.mark.parametrize("rep", REPS)
-def test_differential_against_reference_set(rep):
-    """10^4 random ops agree with a plain python set."""
-    rng = random.Random(0xD1FF + hash(rep) % 97)
-    t = Trie(4, rep=rep)
+def subtree_size(t: Trie, node) -> int:
+    """Words below `node`, counted by walking it; checks every node's count."""
+    total = 1 if node.word else 0
+    for _, kid in t._child_items(node):
+        total += subtree_size(t, kid)
+    assert node.count == total
+    return total
+
+
+@pytest.mark.parametrize("alphabet", [4, 40_000])
+def test_differential_against_reference_set(alphabet):
+    """10^4 random ops agree with a plain python set.
+
+    Symbols come from a pool of six, so nodes branch and lose children
+    again; on the wide alphabet the pool is spread across all of it.
+    """
+    rng = random.Random(0xD1FF + alphabet)
+    pool = sorted(rng.sample(range(alphabet), min(alphabet, 6)))
+    t = Trie(alphabet)
     ref: set[tuple[int, ...]] = set()
-    for _ in range(10_000):
-        w = tuple(rng.randrange(4) for _ in range(rng.randrange(6)))
+    for i in range(10_000):
+        w = tuple(rng.choice(pool) for _ in range(rng.randrange(6)))
         op = rng.randrange(3)
         if op == 0:
             assert t.insert(w) == (w not in ref)
@@ -69,31 +81,52 @@ def test_differential_against_reference_set(rep):
             assert t.delete(w) == (w in ref)
             ref.discard(w)
         assert len(t) == len(ref)
-    assert sorted(t.iter_words()) == sorted(ref)
+        if i % 500 == 0:
+            assert subtree_size(t, t.root) == len(ref)
+            assert (t.min_word() or (None,))[0] == min(ref, default=None)
+    words = list(t.iter_words())
+    assert len(words) == len(set(words))
+    assert set(words) == ref
+    assert t.node_count == 1 + len({w[:i] for w in ref for i in range(1, len(w) + 1)})
 
 
 def test_iter_words_from_subtree():
-    t = Trie(3, rep=ARRAY)
+    t = Trie(3)
     for w in [(1,), (1, 0), (1, 2, 2), (2,)]:
         t.insert(w)
     kid = t._get(t.root, 1)
     assert sorted(t.iter_words(kid)) == [(), (0,), (2, 2)]
 
 
-def test_min_word_sorted_rep():
-    t = Trie(2, rep=SORTED_LIST)
-    for w in [(1, 1), (1, 0), (0, 1)]:
+def test_iter_words_order_is_insertion_order():
+    t = Trie(10)
+    for w in [(7,), (3, 1), (3, 0), (9,), (3,)]:
+        t.insert(w)
+    assert list(t.iter_words()) == [(7,), (3,), (3, 1), (3, 0), (9,)]
+    t.delete((7,))
+    t.insert((7,))  # a child put back counts as inserted anew
+    assert list(t.iter_words()) == [(3,), (3, 1), (3, 0), (9,), (7,)]
+
+
+def test_min_word():
+    t = Trie(5)
+    assert t.min_word() is None
+    for w in [(4, 1), (2, 3, 0), (2, 3), (3,)]:
         t.insert(w)
     word, leaf = t.min_word()
-    assert word == (0, 1)
+    assert word == (2, 3)
     assert leaf.word
+    t.delete((2, 3))
+    assert t.min_word()[0] == (2, 3, 0)
+    t.insert(())
+    assert t.min_word()[0] == ()
 
 
 def test_array_ops_touch_linearly_many_nodes():
     """Each operation's counted steps stay within 4x the word length."""
     rng = random.Random(7)
     ctr = StepCounter()
-    t = Trie(8, counter=ctr, rep=ARRAY)
+    t = Trie(8, counter=ctr)
     for _ in range(500):
         w = tuple(rng.randrange(8) for _ in range(rng.randrange(12)))
         for op in (t.insert, t.search, t.delete):
@@ -102,8 +135,69 @@ def test_array_ops_touch_linearly_many_nodes():
             assert ctr.n - before <= 4 * (len(w) + 1)
 
 
+def test_term_trie_memory_does_not_grow_with_the_alphabet():
+    # 2000 width-3 terms over n=20000: an alphabet of 40000 literal ranks
+    d = generate("kdnf", 20000, 2000, k=3, seed=1)
+    tracemalloc.start()
+    try:
+        tt = TermTrie.from_dnf(d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tt.m == d.m
+    assert peak < 10 * 2**20
+
+
+def words_with_data(t: Trie) -> dict[tuple[int, ...], list]:
+    return {w: sorted(t.search(w).data) for w in t.iter_words()}
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_strip_first_merges_and_undoes(seed):
+    rng = random.Random(seed)
+    t = Trie(5)
+    ref: dict[tuple[int, ...], list[int]] = {}
+    for i in range(rng.randint(1, 30)):
+        w = tuple(rng.randrange(5) for _ in range(rng.randrange(5)))
+        fresh, leaf = t.insert_get(w)
+        if fresh is not None:
+            leaf.data = [i]
+            ref[w] = [i]
+    heads = sorted({w[0] for w in ref if w})
+    if not heads:
+        return
+    s = rng.choice(heads)
+    before = words_with_data(t)
+    token = t.strip_first(s)
+    want: dict[tuple[int, ...], list[int]] = {}
+    for w, data in ref.items():
+        want.setdefault(w[1:] if w[:1] == (s,) else w, []).extend(data)
+    assert words_with_data(t) == {w: sorted(data) for w, data in want.items()}
+    assert subtree_size(t, t.root) == len(want)
+    t.undo(token)
+    assert words_with_data(t) == before
+    assert subtree_size(t, t.root) == len(ref)
+
+
+def test_strip_first_moves_the_smaller_side():
+    t = Trie(4)
+    for w in [(0, 1), (0, 2), (0, 3), (1,), (1, 2)]:
+        t.insert(w)
+    root = t.root
+    token = t.strip_first(0)  # child(0) holds 3 of 5 words: re-root on it
+    assert token[0] == ("root", root)
+    assert set(t.iter_words()) == {(1,), (2,), (3,), (1, 2)}
+    t.undo(token)
+    assert t.root is root
+    token = t.strip_first(1)  # child(1) holds 2 of 5 words: detach it
+    assert token[0][0] == "detach"
+    assert set(t.iter_words()) == {(0, 1), (0, 2), (0, 3), (), (2,)}
+    t.undo(token)
+    assert set(t.iter_words()) == {(0, 1), (0, 2), (0, 3), (1,), (1, 2)}
+
+
 def test_minlen_tracking():
-    t = Trie(3, rep=ARRAY, track_minlen=True)
+    t = Trie(3, track_minlen=True)
     assert t.root.minlen == NO_WORDS
     t.insert((1, 2, 0))
     assert t.root.minlen == 3
@@ -114,6 +208,19 @@ def test_minlen_tracking():
     t.delete(())
     t.delete((2,))
     assert t.root.minlen == 3
+
+
+def test_merge_inserts_in_iter_words_order():
+    # undo deletes the inserted words in reverse order, and on a trie that
+    # tracks minlen the charges of those deletes depend on that order
+    t = Trie(6)
+    for w in [(0, 3), (0, 1, 5), (0, 1), (0, 4), (2,), (2, 2), (5, 5), (5, 4), (5, 3)]:
+        t.insert(w)
+    moved = list(t.iter_words(t._get(t.root, 0)))
+    assert moved == [(3,), (1,), (1, 5), (4,)]
+    token = t.strip_first(0)  # 4 of 9 words: child(0) is detached and merged
+    assert token[0][0] == "detach"
+    assert [op[1] for op in token if op[0] == "ins"] == moved
 
 
 # -- term tries ---------------------------------------------------------------
