@@ -14,8 +14,9 @@ import argparse
 import math
 import random
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from dnfenum.avg import MODE_FAST, MODE_SLOW, enum_avg
 from dnfenum import generate

@@ -14,8 +14,9 @@ import itertools
 import math
 import random
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from dnfenum.core import Dnf
 from dnfenum.instrument import measure

@@ -9,8 +9,9 @@ per output that does not depend on n is spread over more elements.
 import argparse
 import random
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from dnfenum.instrument import measure
 from dnfenum.setunion import SetFamily, enum_unions

@@ -44,7 +44,6 @@ def _trie_dfs(
     *,
     fast: bool,
     node_hook=None,
-    branch_log: list | None = None,
 ):
     """DFS over assignments to `active` guided by the trie `tt`.
 
@@ -95,8 +94,6 @@ def _trie_dfs(
                     token = tt.set_variable_fast(v, trying)
                 else:
                     token = tt.set_variable(v, trying)
-                if branch_log is not None:
-                    branch_log.append((v, trying, na, nb, rest, use_fast))
                 if trying:
                     mask |= 1 << (n - v)
                 tokens[pos] = token
@@ -130,20 +127,7 @@ MODE_SLOW = "t10"  # strip-and-reinsert on every branch
 MODE_FAST = "t11"  # greedy re-rooting when raising a variable
 
 
-def _prep(d: Dnf, counter: StepCounter | None):
-    ctr = counter if counter is not None else StepCounter()
-    tt = TermTrie.from_dnf(d, counter=ctr)
-    return ctr, tt, list(range(1, d.n + 1))
-
-
-def enum_avg(
-    d: Dnf,
-    mode: str = MODE_FAST,
-    *,
-    counter: StepCounter | None = None,
-    branch_log: list | None = None,
-    node_hook=None,
-):
+def enum_avg(d: Dnf, mode: str = MODE_FAST, *, counter: StepCounter | None = None):
     """Enumerate sat(d) in lexicographic order (0 before 1 per variable).
 
     mode "t10" rebuilds the trie on both branches by strip-and-reinsert.
@@ -153,14 +137,7 @@ def enum_avg(
     """
     if mode not in (MODE_SLOW, MODE_FAST):
         raise ValueError(f"unknown mode {mode!r}")
-    ctr, tt, active = _prep(d, counter)
-    return _trie_dfs(
-        tt,
-        active,
-        0,
-        ctr,
-        fast=mode == MODE_FAST,
-        node_hook=node_hook,
-        branch_log=branch_log,
-    )
+    ctr = counter if counter is not None else StepCounter()
+    tt = TermTrie.from_dnf(d, counter=ctr)
+    return _trie_dfs(tt, list(range(1, d.n + 1)), 0, ctr, fast=mode == MODE_FAST)
 

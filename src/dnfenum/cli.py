@@ -11,8 +11,11 @@ Three entry forms share one executable, the ``dnfenum`` console script;
 * ``dnfenum sweep --algo NAME --n N --sizes M1,M2,...`` — run one generated
   instance per size and emit a CSV of delay statistics.
 
-Exit codes: 0 success, 2 usage error, 3 unreadable or malformed input,
-4 oracle mismatch under ``--check-oracle``.
+Exit codes: 0 success, 2 usage error, 3 unreadable or malformed input or
+an unwritable output file, 4 oracle mismatch under ``--check-oracle``,
+141 stdout closed by its reader (as in ``| head``; 128 + SIGPIPE, the
+status a shell reports for a writer killed by that signal).  The last
+ends the run quietly, with no traceback.
 
 Output formats: ``bits`` prints one full bit string per model; ``flips``
 prints the first model as a bit string and every later model as the
@@ -29,6 +32,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
+import os
 import sys
 from itertools import chain
 from operator import xor
@@ -82,6 +87,7 @@ GEN_KINDS = ("random", "monotone", "kdnf", "all-terms", "sets")
 EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_ORACLE = 4
+EXIT_PIPE = 141
 
 #: brute-forcing set unions doubles per set; keep the oracle under a second
 ORACLE_MAX_SETS = 20
@@ -222,6 +228,16 @@ def _check_against_oracle(obj, models: list[int], stream=sys.stderr) -> bool:
     return True
 
 
+def _oracle_refusal(obj) -> str | None:
+    """Why the brute-force oracle cannot check obj, or None if it can."""
+    if isinstance(obj, SetFamily):
+        if obj.m > ORACLE_MAX_SETS:
+            return f"--check-oracle needs m <= {ORACLE_MAX_SETS} sets"
+    elif obj.n > BRUTE_FORCE_MAX_VARS:
+        return f"--check-oracle needs n <= {BRUTE_FORCE_MAX_VARS}"
+    return None
+
+
 def _cmd_run(argv: list[str]) -> int:
     p = argparse.ArgumentParser(
         prog="dnfenum",
@@ -257,14 +273,9 @@ def _cmd_run(argv: list[str]) -> int:
     except (DnfFormatError, ValueError) as e:
         print(f"dnfenum: {e}", file=sys.stderr)
         return EXIT_INPUT
-    if args.check_oracle:
-        if isinstance(obj, SetFamily):
-            if obj.m > ORACLE_MAX_SETS:
-                print(f"dnfenum: --check-oracle needs m <= {ORACLE_MAX_SETS} sets", file=sys.stderr)
-                return EXIT_INPUT
-        elif obj.n > BRUTE_FORCE_MAX_VARS:
-            print(f"dnfenum: --check-oracle needs n <= {BRUTE_FORCE_MAX_VARS}", file=sys.stderr)
-            return EXIT_INPUT
+    if args.check_oracle and (why := _oracle_refusal(obj)):
+        print(f"dnfenum: {why}", file=sys.stderr)
+        return EXIT_INPUT
 
     sink = None if args.count else _StreamWriter(obj.n, args.format, sys.stdout)
     models, stats = measure(factory, limit=args.limit, collect=args.check_oracle, sink=sink)
@@ -280,12 +291,18 @@ def _cmd_run(argv: list[str]) -> int:
 # -- gen ---------------------------------------------------------------------
 
 
-def _write_output(path: str, text: str) -> None:
+def _write_output(path: str, text: str) -> int:
+    """Write text to path ("-" for stdout); returns the exit code."""
     if path == "-":
         sys.stdout.write(text)
-        return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        return 0
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as e:
+        print(f"dnfenum: cannot write {path}: {e}", file=sys.stderr)
+        return EXIT_INPUT
+    return 0
 
 
 def _cmd_gen(argv: list[str]) -> int:
@@ -304,8 +321,7 @@ def _cmd_gen(argv: list[str]) -> int:
     except ValueError as e:
         print(f"dnfenum: {e}", file=sys.stderr)
         return EXIT_INPUT
-    _write_output(args.out, dumps_sets(obj) if isinstance(obj, SetFamily) else dumps_dnf(obj))
-    return 0
+    return _write_output(args.out, dumps_sets(obj) if isinstance(obj, SetFamily) else dumps_dnf(obj))
 
 
 # -- sweep -------------------------------------------------------------------
@@ -357,14 +373,9 @@ def _cmd_sweep(argv: list[str]) -> int:
         except ValueError as e:
             print(f"dnfenum: size {m}: {e}", file=sys.stderr)
             return EXIT_INPUT
-        if args.check_oracle:
-            if isinstance(obj, SetFamily):
-                if obj.m > ORACLE_MAX_SETS:
-                    print(f"dnfenum: --check-oracle needs m <= {ORACLE_MAX_SETS} sets", file=sys.stderr)
-                    return EXIT_INPUT
-            elif obj.n > BRUTE_FORCE_MAX_VARS:
-                print(f"dnfenum: --check-oracle needs n <= {BRUTE_FORCE_MAX_VARS}", file=sys.stderr)
-                return EXIT_INPUT
+        if args.check_oracle and (why := _oracle_refusal(obj)):
+            print(f"dnfenum: {why}", file=sys.stderr)
+            return EXIT_INPUT
         models, stats = measure(factory, limit=args.limit, collect=args.check_oracle)
         if args.check_oracle and not _check_against_oracle(obj, models):
             print(f"dnfenum: sweep failed at size {m}", file=sys.stderr)
@@ -373,24 +384,29 @@ def _cmd_sweep(argv: list[str]) -> int:
             (m, args.n, stats.n_models, stats.avg_delay_steps, stats.max_delay_steps, stats.wall_ns)
         )
 
-    out = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8", newline="")
-    try:
-        w = csv.writer(out)
-        w.writerow(["m", "n", "n_models", "avg_delay_steps", "max_delay_steps", "wall_ns"])
-        w.writerows(rows)
-    finally:
-        if out is not sys.stdout:
-            out.close()
-    return 0
+    out = io.StringIO()
+    w = csv.writer(out)
+    w.writerow(["m", "n", "n_models", "avg_delay_steps", "max_delay_steps", "wall_ns"])
+    w.writerows(rows)
+    return _write_output(args.out, out.getvalue())
 
 
 def main(argv: list[str] | None = None) -> int:
     args = list(sys.argv[1:]) if argv is None else list(argv)
-    if args[:1] == ["gen"]:
-        return _cmd_gen(args[1:])
-    if args[:1] == ["sweep"]:
-        return _cmd_sweep(args[1:])
-    return _cmd_run(args)
+    try:
+        if args[:1] == ["gen"]:
+            code = _cmd_gen(args[1:])
+        elif args[:1] == ["sweep"]:
+            code = _cmd_sweep(args[1:])
+        else:
+            code = _cmd_run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early: stop quietly, and point stdout at
+        # the null device so that the flush at interpreter exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
+    return code
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 
 from .avg import _trie_dfs
-from .core import Dnf, PartialAssignment, Term
+from .core import Dnf, PartialAssignment, Term, lit_index
 from .graycode import GrayState
 from .instrument import StepCounter
 from .trie import TermTrie
@@ -57,8 +57,6 @@ def choose_min_term(d: Dnf) -> Term:
     """A term of minimum width; ties broken by canonical word order."""
     if d.m == 0:
         raise ValueError("empty formula has no terms")
-    from .core import lit_index
-
     best = None
     best_key = None
     for t in d.terms:
@@ -76,8 +74,6 @@ def _calibrate_A() -> int:
     Runs the real block builder on a fixed synthetic 3-DNF and divides the
     counted steps by k^2 * m, rounded up.  Deterministic by construction.
     """
-    from .core import lit_index
-
     k0, n0, m0 = 3, 14, 60
     rng = random.Random(0x5EED)
     seen = set()
@@ -226,22 +222,25 @@ def _build_children(F: _Frame, cfg: KdnfConfig, ctr: StepCounter, n: int):
         prefix[y] = one_y
 
 
-def _enum_kdnf_impl(d: Dnf, cfg: KdnfConfig, ctr: StepCounter, *, hybrid: bool, tag: bool):
+def _kdnf_walk(d: Dnf, cfg: KdnfConfig | None, counter: StepCounter | None, hybrid: bool):
+    """Enumerate sat(d): the model generator and its live frame stack.
+
+    Fills in the default counter and config.  After each model, the top
+    frame of the stack is the frame whose block holds that model.
+    """
+    ctr = counter if counter is not None else StepCounter()
+    if cfg is None:
+        cfg = KdnfConfig.for_formula(d)
     wide = max((len(t) for t in d.terms), default=0)
     if wide > cfg.k:
         raise ValueError(f"term of width {wide} exceeds k={cfg.k}")
     n = d.n
-    if d.m == 0:
-        def empty():
-            return
-            yield
-        return empty()
-    tt = TermTrie.from_dnf(d, counter=ctr)
-    from .core import lit_index
-
-    min_word = tuple(lit_index(lit) for lit in choose_min_term(d))
-    ctr.n += d.size + 1
-    root = _make_frame(tt, 0, tuple(range(1, n + 1)), min_word, cfg, ctr, n)
+    stack: list[_Frame] = []
+    if d.m:
+        tt = TermTrie.from_dnf(d, counter=ctr)
+        min_word = tuple(lit_index(lit) for lit in choose_min_term(d))
+        ctr.n += d.size + 1
+        stack.append(_make_frame(tt, 0, tuple(range(1, n + 1)), min_word, cfg, ctr, n))
     budget = cfg.d * cfg.A
     cutoff = cfg.lam * cfg.k
 
@@ -255,16 +254,10 @@ def _enum_kdnf_impl(d: Dnf, cfg: KdnfConfig, ctr: StepCounter, *, hybrid: bool, 
             allowance -= ctr.n - mark
 
     def gen():
-        stack = [root]
         while stack:
             F = stack[-1]
             if not F.emitted and hybrid and len(F.unassigned) < cutoff:
-                sub = _trie_dfs(F.tt, list(F.unassigned), F.assign, ctr, fast=True)
-                if tag:
-                    for mk in sub:
-                        yield mk, F.path
-                else:
-                    yield from sub
+                yield from _trie_dfs(F.tt, list(F.unassigned), F.assign, ctr, fast=True)
                 stack.pop()
                 continue
             if not F.emitted:
@@ -283,30 +276,22 @@ def _enum_kdnf_impl(d: Dnf, cfg: KdnfConfig, ctr: StepCounter, *, hybrid: bool, 
             if F.builder is not None:
                 run_slice(F)
             ctr.charge_output(mask, n)
-            yield (mask, F.path) if tag else mask
+            yield mask
 
-    return gen()
+    return gen(), stack
 
 
 def enum_kdnf(d: Dnf, cfg: KdnfConfig | None = None, *, counter: StepCounter | None = None):
     """Enumerate sat(d) with delay bounded by the width budget, not by m."""
-    ctr = counter if counter is not None else StepCounter()
-    if cfg is None:
-        cfg = KdnfConfig.for_formula(d)
-    return _enum_kdnf_impl(d, cfg, ctr, hybrid=False, tag=False)
+    return _kdnf_walk(d, cfg, counter, hybrid=False)[0]
 
 
 def enum_kdnf_hybrid(d: Dnf, cfg: KdnfConfig | None = None, *, counter: StepCounter | None = None):
     """Like enum_kdnf, but small frames switch to the trie-guided DFS."""
-    ctr = counter if counter is not None else StepCounter()
-    if cfg is None:
-        cfg = KdnfConfig.for_formula(d)
-    return _enum_kdnf_impl(d, cfg, ctr, hybrid=True, tag=False)
+    return _kdnf_walk(d, cfg, counter, hybrid=True)[0]
 
 
 def _kdnf_tagged(d: Dnf, cfg: KdnfConfig | None = None, *, counter: StepCounter | None = None):
     """(mask, frame path) stream for partition testing."""
-    ctr = counter if counter is not None else StepCounter()
-    if cfg is None:
-        cfg = KdnfConfig.for_formula(d)
-    return _enum_kdnf_impl(d, cfg, ctr, hybrid=False, tag=True)
+    models, stack = _kdnf_walk(d, cfg, counter, hybrid=False)
+    return ((mask, stack[-1].path) for mask in models)

@@ -121,7 +121,7 @@ class _RsNode:
         self.nxt = nxt
 
 
-def enum_monotone_rs(md, *, counter: StepCounter | None = None, on_discard=None):
+def enum_monotone_rs(md, *, counter: StepCounter | None = None):
     """Reverse search over per-term subset lattices with a model trie.
 
     For each term in order, walks the tree of free-variable subsets rooted
@@ -162,8 +162,6 @@ def enum_monotone_rs(md, *, counter: StepCounter | None = None, on_discard=None)
                     ctr.n += 1
                     if model_trie.search(word_of(cand)) is None:
                         succs.append(_RsNode(cand, j, None))
-                    elif on_discard is not None:
-                        on_discard(cand)
                 for a, b in zip(succs, succs[1:]):
                     a.nxt = b
                 if succs:
@@ -221,10 +219,9 @@ def _complement_phase(tt: TermTrie, live: list[int], base_mask: int, ctr: StepCo
         mask = base_mask
         while True:
             root = ct.root
-            cm = root.cmask
+            x = ct._min_sym(root)
             ctr.n += 1
-            if cm:
-                x = (cm & -cm).bit_length() - 1
+            if x is not None:
                 j = idx[x]
                 if j > i:
                     # vars live[i:j] occur in every term: forced to 1, zero
@@ -261,7 +258,7 @@ def _complement_phase(tt: TermTrie, live: list[int], base_mask: int, ctr: StepCo
     return walk()
 
 
-def enum_monotone_log(md, *, counter: StepCounter | None = None, switch_log: list | None = None):
+def enum_monotone_log(md, *, counter: StepCounter | None = None):
     """Greedy DFS that re-encodes to complements once all terms are wide.
 
     Runs enum_monotone_avg's traversal until, at some node, every live term
@@ -281,8 +278,6 @@ def enum_monotone_log(md, *, counter: StepCounter | None = None, switch_log: lis
     if m and n - tt.root.minlen < math.log2(m) + log2n2:
         # every term is already wide at the root: re-encode during setup so
         # the complement build is paid before the first output
-        if switch_log is not None:
-            switch_log.append((0, m, n - tt.root.minlen))
         return _complement_phase(tt, active, 0, ctr, n)
 
     def hook(tt_, active_, pos, mask):
@@ -291,8 +286,6 @@ def enum_monotone_log(md, *, counter: StepCounter | None = None, switch_log: lis
         maxcomp = n_tau - tt_.root.minlen
         ctr.n += 1
         if maxcomp < math.log2(m_tau) + log2n2:
-            if switch_log is not None:
-                switch_log.append((pos, m_tau, maxcomp))
             return _complement_phase(tt_, active_[pos:], mask, ctr, n)
         return None
 

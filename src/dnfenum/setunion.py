@@ -207,12 +207,12 @@ def enum_unions(fam: SetFamily, *, counter: StepCounter | None = None):
         ones = 0
         while True:
             root = trie.root
-            ahead = root.cmask >> e
-            if ahead:
+            nxt = trie._min_sym(root)
+            if nxt is not None:
                 # every live word starts at e or later, so the elements up to
                 # the next root child are ruled out at one step each
-                skip = (ahead & -ahead).bit_length() - 1
-                e += skip
+                skip = nxt - e
+                e = nxt
                 ctr.n += skip + 1
                 # e out of the union: sets containing e die; the survivors'
                 # union must still cover the elements already ruled in

@@ -4,9 +4,8 @@ Words are tuples of symbols.  Every node keeps its children in one layout: a
 lone child sits in two plain fields (``s0``/``k0``), and once a second child
 arrives all of them move into one dict keyed by symbol, which keeps
 insertion order.  Long unary chains, the common case in term tries, thus
-cost no dict, and child operations are O(1) whatever the alphabet.  Each
-node also keeps ``cmask``, the bitmask of its child symbols, so its smallest
-child is one find-first-set away.
+cost no dict.  Child operations are O(1) whatever the alphabet, and a
+node's memory grows with its number of children, not with the alphabet.
 
 Every node carries the number of words in its subtree, which is what the
 enumeration algorithms read to decide how to branch.  The in-place
@@ -31,7 +30,7 @@ NO_WORDS = 1 << 30
 
 
 class _Node:
-    __slots__ = ("s0", "k0", "kids", "word", "count", "minlen", "cmask", "data")
+    __slots__ = ("s0", "k0", "kids", "word", "count", "minlen", "data")
 
     def __init__(self) -> None:
         self.s0 = -1
@@ -40,7 +39,6 @@ class _Node:
         self.word = False
         self.count = 0
         self.minlen = NO_WORDS
-        self.cmask = 0
         self.data = None
 
 
@@ -71,7 +69,6 @@ class Trie:
         return kids.get(s) if kids is not None else None
 
     def _put(self, node: _Node, s: int, child: _Node) -> None:
-        node.cmask |= 1 << s
         kids = node.kids
         if kids is None:
             if node.s0 < 0:
@@ -91,8 +88,13 @@ class Trie:
             node.k0 = None
         elif node.kids is None or (k := node.kids.pop(s, None)) is None:
             return None
-        node.cmask ^= 1 << s
         return k
+
+    def _min_sym(self, node: _Node) -> int | None:
+        """The smallest child symbol of node, or None if it has no children."""
+        if node.s0 >= 0:
+            return node.s0
+        return min(node.kids) if node.kids else None
 
     def _child_items(self, node: _Node) -> Iterable[tuple[int, _Node]]:
         if node.s0 >= 0:
@@ -242,10 +244,9 @@ class Trie:
             ctr.n += 1
             if node.word:
                 return tuple(out), node
-            cm = node.cmask
-            if not cm:
+            s = self._min_sym(node)
+            if s is None:
                 return None
-            s = (cm & -cm).bit_length() - 1
             out.append(s)
             node = self._get(node, s)
 
@@ -317,9 +318,8 @@ class Trie:
 
         Ops: ("ins", word) deletes a word inserted at the current root;
         ("detach", parent, sym, child) re-attaches a detached subtree;
-        ("root", node) restores a previous root; ("restore", snapshot)
-        rewrites one node's fields wholesale; ("data", node, old) puts back
-        a leaf's payload list.
+        ("root", node) restores a previous root; ("data", node, old) puts
+        back a leaf's payload list.
         """
         for op in reversed(token):
             tag = op[0]
@@ -336,8 +336,6 @@ class Trie:
                 self.root = op[1]
             elif tag == "data":
                 op[1].data = op[2]
-            elif tag == "restore":
-                node, node.s0, node.k0, node.kids, node.word, node.count, node.minlen, node.cmask = op[1]
             else:
                 raise ValueError(f"bad undo op {tag!r}")
 
@@ -388,17 +386,15 @@ class TermTrie(Trie):
 
     # -- in-place restriction with undo -------------------------------------
 
-    def _absorb(self, node: _Node, token: list) -> None:
-        # an empty term appeared: it absorbs every other term
-        snap = (node, node.s0, node.k0, node.kids, node.word, node.count, node.minlen, node.cmask)
-        token.append(("restore", snap))
-        node.s0 = -1
-        node.k0 = None
-        node.kids = None
-        node.word = True
-        node.count = 1
-        node.minlen = 0
-        node.cmask = 0
+    def _absorb(self, token: list) -> None:
+        # an empty term appeared: it absorbs every other term.  A lone
+        # empty-word leaf becomes the root; it stands in for the root it
+        # hides, so the node gauge does not count it
+        token.append(("root", self.root))
+        leaf = self.root = _Node()
+        leaf.word = True
+        leaf.count = 1
+        leaf.minlen = 0
 
     def set_variable(self, v: int, b: int) -> list:
         """Restrict x_v := b in place, rebuilding by strip-and-reinsert.
@@ -430,7 +426,7 @@ class TermTrie(Trie):
             if strip.word:
                 # the bare literal: its stripped term is empty
                 ctr.n += 1
-                self._absorb(root, token)
+                self._absorb(token)
             else:
                 self._merge(strip, (), token)
         return token
@@ -460,8 +456,7 @@ class TermTrie(Trie):
         self.root = base
         if base.word:
             # the term was the bare literal on v: tautology below this point
-            if base.cmask:
-                self._absorb(base, token)
+            self._absorb(token)
             return token
         for s, kid in self._child_items(root):
             if s != sat and s != sat ^ 1:

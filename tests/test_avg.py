@@ -12,6 +12,7 @@ from dnfenum.classic import enum_flashlight
 from dnfenum.core import Dnf, all_terms, brute_force_models, restrict
 from dnfenum.instances import generate
 from dnfenum.instrument import measure
+from dnfenum.trie import TermTrie
 
 
 def test_gamma_value():
@@ -49,8 +50,20 @@ def test_modes_agree_with_flashlight(d):
     assert list(enum_avg(d, MODE_FAST)) == flash
 
 
-def test_every_visited_node_keeps_the_model_bound():
+def test_every_visited_node_keeps_the_model_bound(monkeypatch):
     """At each search node the live formula still has >= m**GAMMA models."""
+    seen = []
+    counts_for = TermTrie.counts_for
+
+    def watched(tt, v):
+        # the DFS reads the split on x_v once per search node, with
+        # x_1..x_{v-1} set
+        live = tt.to_dnf()
+        if not live.is_tautology():
+            seen.append((live, v - 1))
+        return counts_for(tt, v)
+
+    monkeypatch.setattr(TermTrie, "counts_for", watched)
     rng = random.Random(0xA7B1)
     checked = 0
     for _ in range(60):
@@ -58,15 +71,8 @@ def test_every_visited_node_keeps_the_model_bound():
         d = random_dnf(rng, n, rng.randint(1, 10))
         if any(t == () for t in d.terms):
             continue
-        seen = []
-
-        def hook(tt, active, pos, mask):
-            live = tt.to_dnf()
-            if not live.is_tautology():
-                seen.append((live, pos))
-            return None
-
-        models = list(enum_avg(d, MODE_FAST, node_hook=hook))
+        seen.clear()
+        models = list(enum_avg(d, MODE_FAST))
         assert sorted(models) == sorted(brute_force_models(d))
         for live, pos in seen:
             cnt = len(brute_force_models(live)) / (1 << pos)
@@ -75,14 +81,29 @@ def test_every_visited_node_keeps_the_model_bound():
     assert checked > 100
 
 
-def test_fast_branching_only_fires_on_strict_minority():
+def log_branches(monkeypatch) -> list:
+    """Log (v, b, na, nb, rest, used_fast) for each restriction of a TermTrie,
+    with the root's three-way split on x_v before it."""
+    log: list = []
+    for name, fast in (("set_variable", False), ("set_variable_fast", True)):
+
+        def watched(tt, v, b, restrict=getattr(TermTrie, name), fast=fast):
+            log.append((v, b, *tt.counts_for(v), fast))
+            return restrict(tt, v, b)
+
+        monkeypatch.setattr(TermTrie, name, watched)
+    return log
+
+
+def test_fast_branching_only_fires_on_strict_minority(monkeypatch):
+    log = log_branches(monkeypatch)
     rng = random.Random(0x715)
     fast_seen = 0
     for _ in range(40):
         n = rng.randint(2, 9)
         d = random_dnf(rng, n, rng.randint(2, 10))
-        log: list = []
-        list(enum_avg(d, MODE_FAST, branch_log=log))
+        log.clear()
+        list(enum_avg(d, MODE_FAST))
         for v, b, na, nb, rest, used_fast in log:
             if used_fast:
                 assert b == 1
@@ -95,11 +116,11 @@ def test_fast_branching_only_fires_on_strict_minority():
     assert fast_seen > 50
 
 
-def test_slow_mode_never_uses_fast_branching():
+def test_slow_mode_never_uses_fast_branching(monkeypatch):
+    log = log_branches(monkeypatch)
     rng = random.Random(0x716)
     d = random_dnf(rng, 8, 8)
-    log: list = []
-    list(enum_avg(d, MODE_SLOW, branch_log=log))
+    list(enum_avg(d, MODE_SLOW))
     assert log and not any(entry[5] for entry in log)
 
 

@@ -294,6 +294,30 @@ def test_dnf_algo_rejects_sets_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("sweep", [False, True], ids=["run", "sweep"])
+def test_check_oracle_refuses_a_formula_over_24_variables(tmp_path, sweep, capsys):
+    if sweep:
+        args = ["sweep", "--algo", "avg", "--n", "25", "--sizes", "1"]
+    else:
+        f = tmp_path / "wide.dnf"
+        f.write_text("p dnf 25 1\n1 0\n")
+        args = ["--algo", "avg", str(f)]
+    assert main([*args, "--check-oracle"]) == 3
+    assert "dnfenum: --check-oracle needs n <= 24" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sweep", [False, True], ids=["run", "sweep"])
+def test_check_oracle_refuses_a_family_over_20_sets(tmp_path, sweep, capsys):
+    if sweep:
+        args = ["sweep", "--algo", "setunion", "--n", "21", "--sizes", "21"]
+    else:
+        f = tmp_path / "many.sets"
+        f.write_text("p sets 21 21\n" + "".join(f"{i} 0\n" for i in range(1, 22)))
+        args = ["--algo", "setunion", str(f)]
+    assert main([*args, "--check-oracle"]) == 3
+    assert "dnfenum: --check-oracle needs m <= 20 sets" in capsys.readouterr().err
+
+
 def test_term_gray_needs_single_term(example_file, capsys):
     assert main(["--algo", "term-gray", example_file]) == 3
     assert "exactly one term" in capsys.readouterr().err
@@ -419,6 +443,46 @@ def test_sweep_bad_sizes(capsys):
 def run_cli(args, **kw):
     argv, env = cli_launch(args)
     return subprocess.run(argv, env=env, capture_output=True, text=True, **kw)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["gen", "--kind", "random", "--n", "5", "--m", "3"],
+        ["sweep", "--algo", "avg", "--n", "5", "--sizes", "3"],
+    ],
+    ids=["gen", "sweep"],
+)
+def test_unwritable_output_is_an_error_without_traceback(tmp_path, args):
+    out = tmp_path / "missing" / "out.txt"
+    r = run_cli([*args, "-o", str(out)])
+    assert r.returncode == 3
+    assert r.stderr.startswith(f"dnfenum: cannot write {out}: ")
+    assert "Traceback" not in r.stderr
+    assert not out.exists()
+
+
+def test_stdout_closed_mid_stream_ends_quietly(tmp_path):
+    # 2^19 models of 21 bytes: far more than a pipe buffer holds
+    f = tmp_path / "one.dnf"
+    f.write_text("p dnf 20 1\n1 0\n")
+    argv, env = cli_launch(["--algo", "avg", str(f)])
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"10000000000000000000\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    assert err == b""
+
+
+def test_stdout_closed_before_the_exit_flush_ends_quietly(example_file):
+    # --count writes one short line, which sits in the buffer until the end
+    argv, env = cli_launch(["--algo", "avg", "--count", example_file])
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    assert err == b""
 
 
 def test_repeat_runs_are_byte_identical(tmp_path):

@@ -11,6 +11,7 @@ from dnfenum.avg import MODE_FAST, enum_avg
 from dnfenum.core import Dnf, brute_force_models, mask_from_bits, satisfies
 from dnfenum.instances import generate
 from dnfenum.instrument import measure
+from dnfenum import monotone
 from dnfenum.monotone import (
     MonotoneDnf,
     enum_monotone_avg,
@@ -19,6 +20,7 @@ from dnfenum.monotone import (
     minimize_monotone,
     normalize_unate,
 )
+from dnfenum.trie import Trie
 
 
 def all_width_terms(n: int, w: int) -> Dnf:
@@ -134,21 +136,30 @@ def test_monotone_avg_delegates_to_trie_dfs():
     assert list(enum_monotone_avg(MonotoneDnf(d))) == list(enum_avg(d, MODE_FAST))
 
 
-def test_discarded_nodes_were_already_output():
+def test_discarded_nodes_were_already_output(monkeypatch):
     """A successor is only skipped when its model sits in the trie, i.e. the
     stream already contains it -- that is what makes pruning sound."""
+    emitted: list[int] = []
+    discards: list[tuple[int, int]] = []
+    search = Trie.search
+
+    def watched(trie, word):
+        # the model trie's words are bit strings; a hit discards the successor
+        leaf = search(trie, word)
+        if leaf is not None:
+            discards.append((int("".join(map(str, word)), 2), len(emitted)))
+        return leaf
+
+    monkeypatch.setattr(Trie, "search", watched)
     rng = random.Random(0xD15C)
     checked = 0
     for _ in range(40):
         n = rng.randint(2, 9)
         d = random_dnf(rng, n, rng.randint(2, 8), signed=False)
         md = MonotoneDnf(d)
-        emitted: list[int] = []
-        discards: list[tuple[int, int]] = []
-        gen = enum_monotone_rs(
-            md, on_discard=lambda mk: discards.append((mk, len(emitted)))
-        )
-        for mk in gen:
+        emitted.clear()
+        discards.clear()
+        for mk in enum_monotone_rs(md):
             emitted.append(mk)
         for mk, k in discards:
             assert mk in set(emitted[:k])
@@ -156,40 +167,54 @@ def test_discarded_nodes_were_already_output():
     assert checked > 50
 
 
-def test_switch_fires_at_root_for_all_wide_terms():
+def log_switches(monkeypatch) -> list:
+    """Log (pos, live terms, widest complement) at each complement switch of
+    monotone-log, where pos variables are already set."""
+    log: list = []
+    phase = monotone._complement_phase
+
+    def watched(tt, live, base_mask, ctr, n):
+        log.append((n - len(live), tt.root.count, len(live) - tt.root.minlen))
+        return phase(tt, live, base_mask, ctr, n)
+
+    monkeypatch.setattr(monotone, "_complement_phase", watched)
+    return log
+
+
+def test_switch_fires_at_root_for_all_wide_terms(monkeypatch):
+    sl = log_switches(monkeypatch)
     n = 6
     d = all_width_terms(n, n - 1)
-    sl: list = []
-    got = list(enum_monotone_log(MonotoneDnf(d), switch_log=sl))
+    got = list(enum_monotone_log(MonotoneDnf(d)))
     assert sorted(got) == sorted(brute_force_models(d))
     assert len(got) == n + 1
     assert sl and sl[0][0] == 0  # re-encoding happened before any branching
 
 
-def test_no_root_switch_when_complements_are_long():
+def test_no_root_switch_when_complements_are_long(monkeypatch):
     # root complement width 9 over n=10: 9 >= log2(1) + 2*log2(10), so the
     # walk starts in branching mode; deeper residuals may still re-encode
+    sl = log_switches(monkeypatch)
     d = Dnf(10, ((1,),))
-    sl: list = []
-    got = list(enum_monotone_log(MonotoneDnf(d), switch_log=sl))
+    got = list(enum_monotone_log(MonotoneDnf(d)))
     assert sorted(got) == sorted(brute_force_models(d))
     assert all(pos > 0 for pos, _, _ in sl)
 
 
-def test_switch_threshold_is_strict():
+def test_switch_threshold_is_strict(monkeypatch):
     # complements of width-1 terms have length n-1; with two terms the
     # threshold is log2(2) + 2*log2(8) = 7, and 7 < 7 must not fire
+    sl = log_switches(monkeypatch)
     d_edge = Dnf(8, ((1,), (2,)))
-    sl: list = []
-    list(enum_monotone_log(MonotoneDnf(d_edge), switch_log=sl))
+    list(enum_monotone_log(MonotoneDnf(d_edge)))
     assert all(pos > 0 for pos, _, _ in sl)
     # width-2 terms: complements have length 6 < 7, so the root re-encodes
+    sl.clear()
     d_fire = Dnf(8, ((1, 2), (3, 4)))
-    sl2: list = []
-    list(enum_monotone_log(MonotoneDnf(d_fire), switch_log=sl2))
-    assert sl2 and sl2[0] == (0, 2, 6)
+    list(enum_monotone_log(MonotoneDnf(d_fire)))
+    assert sl and sl[0] == (0, 2, 6)
     thresh = math.log2(2) + 2 * math.log2(8)
-    assert sl2[0][2] < thresh <= 8 - 1
+    assert sl[0][2] < thresh <= 8 - 1
 
 
 def test_reverse_search_memory_holds_all_models():
