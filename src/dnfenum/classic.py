@@ -92,9 +92,9 @@ def enum_union_ordered(d: Dnf, *, counter: StepCounter | None = None):
         mask = starts[i]
         f = frees[i]
         c = idx[i]
-        for j, bit in enumerate(f):
+        for j, shift in enumerate(f):
             if (c >> (len(f) - 1 - j)) & 1:
-                mask |= bit
+                mask |= 1 << shift
         ctr.n += len(f) + 1
         return mask
 

@@ -11,8 +11,9 @@ Three entry forms share one executable, the ``dnfenum`` console script;
 * ``dnfenum sweep --algo NAME --n N --sizes M1,M2,...`` — run one generated
   instance per size and emit a CSV of delay statistics.
 
-Exit codes: 0 success, 2 usage error, 3 unreadable or malformed input or
-an unwritable output file, 4 oracle mismatch under ``--check-oracle``,
+Exit codes: 0 success, 2 usage error, 3 unreadable or malformed input
+(a header n above ``MAX_INPUT_VARS`` = 2^16 counts as malformed) or an
+unwritable output file, 4 oracle mismatch under ``--check-oracle``,
 141 stdout closed by its reader (as in ``| head``; 128 + SIGPIPE, the
 status a shell reports for a writer killed by that signal).  The last
 ends the run quietly, with no traceback.
@@ -99,16 +100,20 @@ ORACLE_MAX_SETS = 20
 class _FlipLines(dict):
     """Maps the difference of two consecutive models to its flips line.
 
-    Holds the single-bit differences, the only ones a Gray step makes; a
-    difference of several bits, which non-Gray algorithms produce, misses
-    and is decoded bit by bit without being stored.
+    Stores the line of each single-bit difference, the only kind a Gray
+    step makes, the first time it is asked for; a difference of several
+    bits, which non-Gray algorithms produce, is decoded bit by bit each
+    time without being stored.
     """
 
     def __init__(self, n: int):
-        super().__init__((1 << (n - v), str(v)) for v in range(1, n + 1))
+        super().__init__()
         self.n = n
 
     def __missing__(self, diff: int) -> str:
+        if diff and not diff & (diff - 1):
+            line = self[diff] = str(self.n - diff.bit_length() + 1)
+            return line
         pos = []
         while diff:
             b = diff & -diff
@@ -124,8 +129,8 @@ class _StreamWriter:
     ``bits`` gives each model its full bit string.  ``flips`` gives the first
     model of the run its bit string and every later model the ascending
     1-based positions in which it differs from its predecessor, looked up in
-    a :class:`_FlipLines` table built once per run.  Between blocks the
-    writer keeps only the last model.
+    a :class:`_FlipLines` table that fills as the run goes.  Between blocks
+    the writer keeps only the last model and that table.
     """
 
     def __init__(self, n: int, fmt: str, out):
@@ -264,7 +269,7 @@ def _cmd_run(argv: list[str]) -> int:
 
     try:
         text = _read_input(args.file)
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         print(f"dnfenum: cannot read {args.file}: {e}", file=sys.stderr)
         return EXIT_INPUT
     try:

@@ -24,6 +24,10 @@ PartialAssignment = Mapping[int, int]
 
 BRUTE_FORCE_MAX_VARS = 24
 
+#: largest alphabet the parsers accept: a header n above it is refused, so a
+#: huge n fails as malformed input instead of exhausting memory
+MAX_INPUT_VARS = 1 << 16
+
 
 class DnfFormatError(ValueError):
     """Raised for malformed formula text, with a 1-based line number."""
@@ -224,6 +228,8 @@ def parse_dnf(text: str) -> Dnf:
                 raise DnfFormatError(lineno, f"bad header numbers in {line!r}") from None
             if n < 1 or m < 0:
                 raise DnfFormatError(lineno, "need n >= 1 and m >= 0")
+            if n > MAX_INPUT_VARS:
+                raise DnfFormatError(lineno, f"n exceeds the limit of {MAX_INPUT_VARS} variables")
             header = (n, m)
             header_line = lineno
             continue

@@ -5,63 +5,96 @@ the model where every free variable is 0, each subsequent model differs in
 exactly one free variable, so emitting a model costs a couple of counted
 steps instead of n.  The flip schedule is the standard reflected one: after
 i models the next flip lands on slot trailing_zeros(i+1).
+
+A walk holds the shift amount of each free variable (its bit is
+``1 << shift``) and builds the single-bit mask of slot j only when the walk
+first reaches it, at output 2^j, so a walk that has made c outputs holds
+about log2(c) masks however wide the alphabet is.  Once nothing else runs
+between outputs, :meth:`GrayState.take` hands out a whole block of models
+from one loop, and :func:`enum_term_models` yields such blocks as runs (see
+:mod:`dnfenum.instrument`).
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from .core import Dnf, Term
-from .instrument import StepCounter
+from .instrument import SINK_BLOCK, Models, Run, StepCounter
 
 
 class GrayState:
-    """Resumable Gray walk: a current mask plus per-slot flip bits.
+    """Resumable Gray walk: a current mask plus per-slot shift amounts.
 
-    Callers emit ``mask`` first, then call advance() up to 2^f - 1 times.
-    Keeping the walk as plain state (rather than a generator) lets the
-    budgeted enumerators suspend one walk, do other work, and resume it.
+    Callers emit ``mask`` first, then call advance() or take() until
+    remaining() is 0.  Keeping the walk as plain state (rather than a
+    generator) lets the budgeted enumerators suspend one walk, do other
+    work, and resume it.
     """
 
-    __slots__ = ("mask", "free_bits", "i", "total")
+    __slots__ = ("mask", "shifts", "bits", "i", "total")
 
-    def __init__(self, start_mask: int, free_bits: Sequence[int]):
+    def __init__(self, start_mask: int, shifts: list[int]):
         self.mask = start_mask
-        self.free_bits = list(free_bits)
+        self.shifts = shifts
+        # bits[j] == 1 << shifts[j], for the slots reached so far
+        self.bits: list[int] = []
         self.i = 0
-        self.total = 1 << len(self.free_bits)
+        self.total = 1 << len(shifts)
 
     def remaining(self) -> int:
         return self.total - 1 - self.i
 
     def advance(self, ctr: StepCounter) -> int:
         i = self.i + 1
-        self.mask ^= self.free_bits[(i & -i).bit_length() - 1]
+        j = (i & -i).bit_length() - 1
+        bits = self.bits
+        # output 2^j is the first to flip slot j, and every lower slot has
+        # been flipped by then
+        if j == len(bits):
+            bits.append(1 << self.shifts[j])
+        self.mask ^= bits[j]
         self.i = i
         ctr.n += 2
         return self.mask
 
+    def take(self, k: int) -> list[int]:
+        """The next k models (k <= remaining()), as advance() would give
+        them, but with no step charged: the caller prices them."""
+        i = self.i
+        bits = self.bits
+        # the flips up to output i + k reach slots below its bit length
+        while len(bits) < (i + k).bit_length():
+            bits.append(1 << self.shifts[len(bits)])
+        mask = self.mask
+        out = []
+        append = out.append
+        for i in range(i + 1, i + k + 1):
+            mask ^= bits[(i & -i).bit_length() - 1]
+            append(mask)
+        self.i = i
+        self.mask = mask
+        return out
+
 
 def term_start_mask(t: Term, n: int, ctr: StepCounter) -> tuple[int, list[int]]:
-    """First model of a term (free variables all 0) and the free flip bits."""
+    """First model of a term (free variables all 0) and the free shifts."""
     mask = 0
-    fixed = 0
+    fixed = set()
     for lit in t:
         v = lit if lit > 0 else -lit
-        bit = 1 << (n - v)
-        fixed |= bit
+        fixed.add(v)
         if lit > 0:
-            mask |= bit
-    free = [1 << (n - v) for v in range(1, n + 1) if not fixed & (1 << (n - v))]
+            mask |= 1 << (n - v)
+    free = [n - v for v in range(1, n + 1) if v not in fixed]
     ctr.n += n + 1
     return mask, free
 
 
-def enum_term_models(t: Term, n: int, *, counter: StepCounter | None = None):
+def enum_term_models(t: Term, n: int, *, counter: StepCounter | None = None) -> Models:
     """Enumerate all models of a single term in Gray order.
 
-    The start mask is assembled before the generator is handed back, so
-    every delay afterwards is a constant number of counted steps.
+    The start mask is assembled before the iterator is handed back, so
+    every delay afterwards is a constant number of counted steps: each
+    model after the first comes in a run priced at the 2 steps of a flip.
     """
     ctr = counter if counter is not None else StepCounter()
     start, free = term_start_mask(t, n, ctr)
@@ -69,13 +102,13 @@ def enum_term_models(t: Term, n: int, *, counter: StepCounter | None = None):
 
     def gen():
         yield gs.mask
-        while gs.i < gs.total - 1:
-            yield gs.advance(ctr)
+        while left := gs.remaining():
+            yield Run(gs.take(min(left, SINK_BLOCK)), 2)
 
-    return gen()
+    return Models(gen(), ctr)
 
 
-def enum_single_term_dnf(d: Dnf, *, counter: StepCounter | None = None):
+def enum_single_term_dnf(d: Dnf, *, counter: StepCounter | None = None) -> Models:
     """Gray enumeration for a formula that is a single term (m must be 1)."""
     if d.m != 1:
         raise ValueError(f"need exactly one term, got {d.m}")

@@ -14,6 +14,18 @@ counter is incremented at a fixed set of points:
 
 Identical runs produce identical counts; nothing here reads the clock
 except the informational wall_ns field.
+
+Runs.  Where every output costs the same fixed number of steps (a Gray
+walk with nothing else to do between its flips), an enumerator may yield a
+:class:`Run` in place of single masks: a nonempty list of at most
+SINK_BLOCK consecutive models plus the uniform ``price`` in steps of each
+one, charged on the counter by no one yet.  Such an enumerator returns a
+:class:`Models`, whose ``items`` is the raw stream of masks and runs.
+Iterating a Models gives plain int masks and charges each run output on
+the counter as it is handed out, so a caller that iterates sees exactly
+the per-output counter values of an enumerator that charged every output
+itself.  :func:`measure` reads ``items`` instead and folds each run into
+its tallies with a few additions.
 """
 
 from __future__ import annotations
@@ -21,7 +33,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, asdict
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 
 class StepCounter:
@@ -72,8 +84,48 @@ class DelayStats:
         return json.dumps(asdict(self))
 
 
-#: most models measure() hands a sink in one call
+#: most models measure() hands a sink in one call, and most models in a run
 SINK_BLOCK = 4096
+
+
+class Run(NamedTuple):
+    """Consecutive models that each cost ``price`` steps, not yet charged."""
+
+    masks: list[int]
+    price: int
+
+
+def _flatten(items: Iterable, ctr: StepCounter) -> Iterator[int]:
+    for item in items:
+        if type(item) is Run:
+            price = item.price
+            for mask in item.masks:
+                ctr.n += price
+                ctr.last = mask
+                yield mask
+        else:
+            yield item
+
+
+class Models:
+    """An enumerator's models as an iterator of int masks.
+
+    ``items`` is the underlying stream of masks and :class:`Run` blocks;
+    iterating the Models itself charges each run output on the
+    enumerator's counter as that output is handed out.
+    """
+
+    __slots__ = ("items", "_flat")
+
+    def __init__(self, items: Iterator, counter: StepCounter):
+        self.items = items
+        self._flat = _flatten(items, counter)
+
+    def __iter__(self) -> Iterator[int]:
+        return self._flat
+
+    def __next__(self) -> int:
+        return next(self._flat)
 
 
 def measure(
@@ -88,6 +140,14 @@ def measure(
     eagerly before returning the model iterator; the counter value at return
     time is recorded as precompute_steps.
 
+    If the iterator is a :class:`Models`, its runs are folded in whole: the
+    first output of a run of k models at price p has the delay of the steps
+    counted since the previous output plus p, each later one the delay p,
+    the counter grows by k*p and remembers the run's last model, as if the
+    k outputs had been charged one by one.  `limit` cuts a run at the exact
+    model and charges only the part taken.  The stats equal those of
+    iterating the Models one mask at a time.
+
     `sink`, if given, receives the models in order as nonempty lists of at
     most SINK_BLOCK masks: each full list as it fills, and the remainder once
     the run ends, whether by exhaustion or by `limit`.  Every model reaches
@@ -99,6 +159,8 @@ def measure(
     t0 = time.perf_counter_ns()
     gen = factory(counter)
     pre = counter.n
+    items = gen.items if type(gen) is Models else gen
+    run_t = Run
     models: list[int] = []
     chunk: list[int] = []
     # every model joins the chunk, so it is full when n_models reaches this
@@ -111,9 +173,47 @@ def measure(
     peak = counter.nodes
     exhausted = True
     if limit is not None and limit <= 0:
-        gen = iter(())
+        items = ()
         exhausted = False
-    for mask in gen:
+    for mask in items:  # an int mask, or a Run when items is a Models stream
+        if type(mask) is run_t:
+            masks, price = mask
+            k = len(masks)
+            if limit is not None and n_models + k >= limit:
+                k = limit - n_models
+                masks = masks[:k]
+                exhausted = False
+            now = counter.n
+            gap = now - prev + price
+            if gap > max_delay:
+                max_delay = gap
+            if k > 1:
+                gap = price
+                if gap > max_delay:
+                    max_delay = gap
+            last_gap = gap
+            sum_delay += now - prev + k * price
+            prev = counter.n = now + k * price
+            counter.last = masks[-1]
+            room = flush_at - n_models
+            n_models += k
+            if collect:
+                models += masks
+            if sink is not None:
+                taken = 0
+                while k - taken >= room:
+                    chunk += masks[taken:taken + room]
+                    sink(chunk)
+                    chunk.clear()
+                    taken += room
+                    room = SINK_BLOCK
+                    flush_at += SINK_BLOCK
+                chunk += masks[taken:] if taken else masks
+            if counter.nodes > peak:
+                peak = counter.nodes
+            if not exhausted:
+                break
+            continue
         now = counter.n
         gap = now - prev
         prev = now

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .avg import _trie_dfs
 from .core import Dnf, PartialAssignment, Term, lit_index
 from .graycode import GrayState
-from .instrument import StepCounter
+from .instrument import SINK_BLOCK, Models, Run, StepCounter
 from .trie import TermTrie
 
 LAMBDA_DEFAULT = 3.55301
@@ -159,7 +159,7 @@ def _make_frame(tt, assign, unassigned, min_word, cfg, ctr, n, path=()):
         tvars.add(v)
         if s & 1:
             start |= 1 << (n - v)
-    free = [1 << (n - v) for v in unassigned if v not in tvars]
+    free = [n - v for v in unassigned if v not in tvars]
     ctr.n += nu + 1
     return _Frame(tt, assign, unassigned, min_word, GrayState(start, free), path)
 
@@ -223,10 +223,13 @@ def _build_children(F: _Frame, cfg: KdnfConfig, ctr: StepCounter, n: int):
 
 
 def _kdnf_walk(d: Dnf, cfg: KdnfConfig | None, counter: StepCounter | None, hybrid: bool):
-    """Enumerate sat(d): the model generator and its live frame stack.
+    """Enumerate sat(d): the model stream and its live frame stack.
 
     Fills in the default counter and config.  After each model, the top
-    frame of the stack is the frame whose block holds that model.
+    frame of the stack is the frame whose block holds that model.  Once a
+    frame's builder is done, the rest of its Gray walk comes as runs, each
+    output priced at the 2 steps of the flip plus the 2 of charge_output
+    for a one-bit change.
     """
     ctr = counter if counter is not None else StepCounter()
     if cfg is None:
@@ -260,25 +263,29 @@ def _kdnf_walk(d: Dnf, cfg: KdnfConfig | None, counter: StepCounter | None, hybr
                 yield from _trie_dfs(F.tt, list(F.unassigned), F.assign, ctr, fast=True)
                 stack.pop()
                 continue
+            gray = F.gray
             if not F.emitted:
                 F.emitted = True
                 F.builder = _build_children(F, cfg, ctr, n)
-                mask = F.gray.mask
-            elif F.gray.i < F.gray.total - 1:
-                mask = F.gray.advance(ctr)
-            else:
+                mask = gray.mask
+            elif not (left := gray.remaining()):
                 while F.builder is not None:
                     if next(F.builder, _DONE) is _DONE:
                         F.builder = None
                 stack.pop()
                 stack.extend(reversed(F.children))
                 continue
+            elif F.builder is None:
+                yield Run(gray.take(min(left, SINK_BLOCK)), 4)
+                continue
+            else:
+                mask = gray.advance(ctr)
             if F.builder is not None:
                 run_slice(F)
             ctr.charge_output(mask, n)
             yield mask
 
-    return gen(), stack
+    return Models(gen(), ctr), stack
 
 
 def enum_kdnf(d: Dnf, cfg: KdnfConfig | None = None, *, counter: StepCounter | None = None):

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .core import DnfFormatError
+from .core import MAX_INPUT_VARS, DnfFormatError
 from .instrument import StepCounter
 from .trie import Trie
 
@@ -96,6 +96,8 @@ def parse_sets(text: str) -> SetFamily:
                 raise DnfFormatError(ln, f"bad header numbers in {line!r}") from None
             if n < 0 or m < 0:
                 raise DnfFormatError(ln, "n and m must be non-negative")
+            if n > MAX_INPUT_VARS:
+                raise DnfFormatError(ln, f"n exceeds the limit of {MAX_INPUT_VARS} elements")
             header_line = ln
             continue
         if n is None:

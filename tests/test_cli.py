@@ -1,12 +1,16 @@
 """End-to-end checks of the command-line front end."""
 
+import contextlib
 import csv
 import io
 import json
 import subprocess
 import sys
+import tracemalloc
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from conftest import cli_launch
 from dnfenum import (
@@ -22,8 +26,9 @@ from dnfenum import (
     enum_union_priority,
     enum_unions,
 )
-from dnfenum.cli import ALGOS, generate, main
+from dnfenum.cli import ALGOS, _StreamWriter, generate, main
 from dnfenum.core import (
+    MAX_INPUT_VARS,
     Dnf,
     bits_from_mask,
     brute_force_models,
@@ -496,3 +501,165 @@ def test_repeat_runs_are_byte_identical(tmp_path):
     recs = [json.loads(r.stderr) for r in runs]
     assert recs[0]["total_steps"] == recs[1]["total_steps"]
     assert recs[0]["n_models"] == recs[1]["n_models"]
+
+# -- memory of the flips writer ---------------------------------------------------
+
+
+def test_flips_writer_builds_no_table_up_front():
+    tracemalloc.start()
+    try:
+        _StreamWriter(20000, "flips", io.StringIO())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+# -- inputs at and above the alphabet cap, and parser fuzzing --------------------
+
+
+@pytest.mark.parametrize(
+    "text,algo",
+    [
+        ("p sets 99999999999999999999 1\n1 0\n", "setunion"),
+        ("p dnf 100000000 1\n1 0\n", "kdnf"),
+        (f"p dnf {MAX_INPUT_VARS + 1} 1\n1 0\n", "term-gray"),
+    ],
+    ids=["sets-20-digits", "dnf-1e8", "dnf-cap+1"],
+)
+def test_oversized_alphabet_is_refused(tmp_path, text, algo):
+    f = tmp_path / "big.txt"
+    f.write_text(text)
+    r = run_cli([str(f), "--algo", algo])
+    assert r.returncode == 3
+    assert r.stderr.startswith(f"dnfenum: line 1: n exceeds the limit of {MAX_INPUT_VARS}")
+    assert "Traceback" not in r.stderr
+    assert r.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "text,algo",
+    [
+        (f"p dnf {MAX_INPUT_VARS} 1\n1 -{MAX_INPUT_VARS} 0\n", "kdnf"),
+        (f"p dnf {MAX_INPUT_VARS} 1\n1 -{MAX_INPUT_VARS} 0\n", "term-gray"),
+        (f"p sets {MAX_INPUT_VARS} 2\n1 0\n{MAX_INPUT_VARS} 0\n", "setunion"),
+    ],
+    ids=["kdnf", "term-gray", "setunion"],
+)
+def test_alphabet_at_the_cap_runs(tmp_path, text, algo):
+    f = tmp_path / "cap.txt"
+    f.write_text(text)
+    r = run_cli([str(f), "--algo", algo, "--limit", "3", "--format", "flips"])
+    assert r.returncode == 0, r.stderr
+    first, *rest = r.stdout.splitlines()
+    assert len(first) == MAX_INPUT_VARS and len(rest) == 2
+    assert r.stderr == ""
+
+
+def test_undecodable_input_file_is_an_input_error(tmp_path):
+    f = tmp_path / "bad.dnf"
+    f.write_bytes(b"p dnf 3 1\n1 \xff 0\n")
+    r = run_cli([str(f), "--algo", "kdnf"])
+    assert r.returncode == 3
+    assert r.stderr.startswith(f"dnfenum: cannot read {f}: ")
+    assert "Traceback" not in r.stderr
+
+
+FUZZ_SEEDS = {
+    "dnf": [
+        EXAMPLE,
+        dumps_dnf(generate("kdnf", 6, 4, k=3, seed=2)),
+        dumps_dnf(generate("monotone", 5, 3, seed=1)),
+        "p dnf 4 1\n2 -3 0\n",
+        "c comment\np dnf 2 0\n",
+    ],
+    "sets": [dumps_sets(generate("sets", 6, 4, seed=3)), "p sets 0 1\n0\n"],
+}
+
+# small ints keep every valid formula tiny; the other tokens are malformed
+# or far above the alphabet cap, so no valid input has a large n
+FUZZ_TOKENS = st.one_of(
+    st.integers(-12, 12).map(str),
+    st.sampled_from(
+        ["p", "dnf", "sets", "c", "x", "-", "--1", "+2", "0x1", "1e3", "1.5", "\t",
+         str(MAX_INPUT_VARS + 1), "99999999999999999999", "7" * 5000]
+    ),
+)
+
+
+@st.composite
+def fuzzed_texts(draw, kind):
+    """A seed text of the kind, mutated token by token and line by line."""
+    lines = [line.split() for line in draw(st.sampled_from(FUZZ_SEEDS[kind])).splitlines()]
+    for _ in range(draw(st.integers(0, 4))):
+        op = draw(st.sampled_from(["replace", "insert", "delete", "new", "drop", "dup", "size"]))
+        # count from the end, so that the simplest draws leave the header be
+        i = len(lines) - draw(st.integers(0, len(lines)))
+        if op == "size":
+            # a new n or m in the header
+            for line in lines:
+                if line[:1] == ["p"] and len(line) == 4:
+                    line[draw(st.sampled_from([2, 3]))] = draw(FUZZ_TOKENS)
+                    break
+        elif op == "new" or i == len(lines):
+            lines.insert(i, draw(st.lists(FUZZ_TOKENS, max_size=5)))
+        elif op == "drop":
+            del lines[i]
+        elif op == "dup":
+            lines.insert(i, list(lines[i]))
+        else:
+            line = lines[i]
+            j = len(line) - draw(st.integers(0, len(line)))
+            if op == "insert" or j == len(line):
+                line.insert(j, draw(FUZZ_TOKENS))
+            elif op == "delete":
+                del line[j]
+            else:
+                line[j] = draw(FUZZ_TOKENS)
+    sep = draw(st.sampled_from(["\n", "\r\n"]))
+    return sep.join(" ".join(line) for line in lines) + draw(st.sampled_from([sep, ""]))
+
+
+@st.composite
+def fuzz_cases(draw):
+    """(algorithm, input text): mostly a mutant of the algorithm's own file
+    kind, sometimes of the other kind, sometimes a line of loose tokens."""
+    algo = draw(st.sampled_from(ALGOS))
+    kind = "sets" if algo == "setunion" else "dnf"
+    text = draw(
+        st.one_of(
+            fuzzed_texts(kind),
+            fuzzed_texts(kind),
+            fuzzed_texts("dnf" if kind == "sets" else "sets"),
+            st.lists(FUZZ_TOKENS, max_size=12).map(" ".join),
+        )
+    )
+    return algo, text
+
+
+CAP_DNF = f"p dnf {MAX_INPUT_VARS} 1\n1 -{MAX_INPUT_VARS} 0\n"
+
+
+@settings(max_examples=400)
+@given(
+    case=fuzz_cases(),
+    out=st.sampled_from([["--format", "bits"], ["--format", "flips"], ["--count"], ["--stats"]]),
+)
+@example(case=("setunion", "p sets 99999999999999999999 1\n1 0\n"), out=["--count"])
+@example(case=("kdnf", "p dnf 100000000 1\n1 0\n"), out=["--count"])
+@example(case=("kdnf", CAP_DNF), out=["--format", "flips"])
+@example(case=("term-gray", CAP_DNF), out=["--format", "flips"])
+@example(case=("setunion", f"p sets {MAX_INPUT_VARS} 1\n{MAX_INPUT_VARS} 0\n"), out=["--count"])
+def test_fuzzed_input_ends_in_exit_0_or_3(case, out):
+    algo, text = case
+    stdout, stderr = io.StringIO(), io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["-", "--algo", algo, "--limit", "3", *out])
+    finally:
+        sys.stdin = stdin
+    assert code in (0, 3), (code, stderr.getvalue())
+    if code == 3:
+        assert stderr.getvalue().startswith("dnfenum: ")
+        assert stdout.getvalue() == ""

@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 from conftest import dnfs
 from dnfenum.core import (
     BRUTE_FORCE_MAX_VARS,
+    MAX_INPUT_VARS,
     Dnf,
     DnfFormatError,
     all_terms,
@@ -55,11 +56,17 @@ def test_parse_rejects_contradictory_literals():
         "1 0\n",                     # missing header
         "p dnf 0 0\n",               # n must be positive
         "p dnf 2 1\nx 0\n",          # non-integer literal
+        "p dnf 65537 0\n",           # n above MAX_INPUT_VARS
     ],
 )
 def test_parse_rejects_malformed(text):
     with pytest.raises(DnfFormatError):
         parse_dnf(text)
+
+
+def test_parse_accepts_n_at_the_cap():
+    d = parse_dnf(f"p dnf {MAX_INPUT_VARS} 1\n-{MAX_INPUT_VARS} 0\n")
+    assert d.n == MAX_INPUT_VARS and d.terms == ((-MAX_INPUT_VARS,),)
 
 
 def test_parse_skips_comments():

@@ -12,7 +12,7 @@ from dnfenum.instrument import StepCounter, measure
 
 def spell_patterns(k: int) -> list[tuple[int, ...]]:
     """Run a full walk over k slots from all zeros; slot j is bit k-1-j."""
-    g = GrayState(0, [1 << (k - 1 - j) for j in range(k)])
+    g = GrayState(0, [k - 1 - j for j in range(k)])
     ctr = StepCounter()
     masks = [g.mask]
     while g.remaining():
@@ -55,7 +55,7 @@ def test_flip_schedule_is_the_reflected_one(k):
 
 
 def test_advance_counts_and_runs_out():
-    g = GrayState(0b100, [0b10, 0b01])
+    g = GrayState(0b100, [1, 0])
     ctr = StepCounter()
     seen = []
     while g.remaining():
@@ -109,3 +109,35 @@ def test_single_term_dnf_requires_one_term():
         enum_single_term_dnf(Dnf(2, ()))
     got = list(enum_single_term_dnf(Dnf(2, ((1,),))))
     assert got == list(enum_term_models((1,), 2))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 5, 9])
+@given(data=st.data())
+def test_take_matches_repeated_advance(k, data):
+    shifts = data.draw(st.permutations(range(k + 3)))[:k]
+    start = data.draw(st.integers(0, (1 << (k + 3)) - 1))
+    ref = GrayState(start, shifts)
+    ctr = StepCounter()
+    want = [ref.advance(ctr) for _ in range(ref.remaining())]
+    # cut the walk at random points, possibly twice at one point
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(want)), max_size=6)))
+    g = GrayState(start, shifts)
+    got = []
+    for cut in cuts + [len(want)]:
+        got += g.take(cut - len(got))
+        assert (g.i, g.mask) == (len(got), (got or [start])[-1])
+    assert got == want
+    assert g.take(0) == []
+
+
+def test_slot_masks_are_built_on_first_reach():
+    # slot j is first flipped at output 2^j
+    g = GrayState(0, [40, 30, 20, 10])
+    ctr = StepCounter()
+    assert g.bits == []
+    g.advance(ctr)
+    assert g.bits == [1 << 40]
+    g.take(2)
+    assert g.bits == [1 << 40, 1 << 30]
+    g.take(g.remaining())
+    assert g.bits == [1 << 40, 1 << 30, 1 << 20, 1 << 10]

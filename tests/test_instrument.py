@@ -1,12 +1,13 @@
-"""The measure() loop: its block sink contract and its step bookkeeping."""
+"""The measure() loop: its block sink contract, its step bookkeeping and its runs."""
 
 from dataclasses import asdict
 
 import pytest
 
 from dnfenum.core import Dnf
-from dnfenum.instrument import SINK_BLOCK, measure
-from dnfenum.kdnf import enum_kdnf
+from dnfenum.graycode import enum_term_models
+from dnfenum.instrument import SINK_BLOCK, Models, Run, StepCounter, measure
+from dnfenum.kdnf import enum_kdnf, enum_kdnf_hybrid
 
 # x1 alone covers half of the 2^14 assignments: 11344 models in all
 DENSE = Dnf(14, [(1,), (-2, 3), (4, -5, 6), (-7, 8, 9, -10)])
@@ -61,3 +62,108 @@ def test_sink_leaves_the_stats_alone(limit):
     counted = run(collect=False, sink=lambda masks: None)
     assert plain == with_sink
     assert counted == ([], plain[1])
+
+
+# -- runs: measure() folds them, plain iteration charges them one by one -------
+
+# kdnf-hybrid hands some frames of MIXED to the trie DFS and walks others as runs
+MIXED = Dnf(15, [(1, 2), (-2, 3), (4, -5, 6), (7, 8, -9), (-10, 11, 12)])
+
+RUN_CASES = {
+    "kdnf": lambda c: enum_kdnf(DENSE, counter=c),
+    "kdnf-mixed": lambda c: enum_kdnf(MIXED, counter=c),
+    "kdnf-hybrid": lambda c: enum_kdnf_hybrid(MIXED, counter=c),
+    "term-gray": lambda c: enum_term_models((2,), 14, counter=c),
+}
+
+
+def run_spans(factory):
+    """(first, last) model number of each run in a fresh stream, 1-based."""
+    spans, seen = [], 0
+    for item in factory(StepCounter()).items:
+        if type(item) is Run:
+            spans.append((seen + 1, seen + len(item.masks)))
+            seen += len(item.masks)
+        else:
+            seen += 1
+    return spans
+
+
+def measured(factory, limit, plain):
+    """measure() of factory, or of a generator that iterates its Models."""
+    blocks = []
+    f = (lambda c: (m for m in factory(c))) if plain else factory
+    models, stats = measure(f, limit=limit, sink=lambda b: blocks.append(list(b)))
+    fields = asdict(stats)
+    del fields["wall_ns"]
+    return models, fields, blocks
+
+
+def limits_around_runs(spans):
+    """Limits at 1, inside runs, and on and next to run boundaries."""
+    out = {1, None}
+    for first, last in (spans[0], spans[1], spans[-1]):
+        out |= {first - 1, first, first + 1, (first + last) // 2, last - 1, last, last + 1}
+    return sorted(out, key=lambda x: (x is None, x))
+
+
+@pytest.mark.parametrize("case", sorted(RUN_CASES))
+def test_runs_give_the_stats_and_blocks_of_plain_iteration(case):
+    factory = RUN_CASES[case]
+    spans = run_spans(factory)
+    # the case must exercise the run path, with a single mask before it
+    assert len(spans) >= 2 and spans[0][0] > 1
+    total = len(list(factory(StepCounter())))
+    for limit in limits_around_runs(spans):
+        folded = measured(factory, limit, plain=False)
+        assert folded == measured(factory, limit, plain=True), limit
+        assert folded[1]["n_models"] == (total if limit is None else min(limit, total))
+
+
+def test_hybrid_case_mixes_runs_and_the_trie_dfs():
+    # the hybrid prices DFS outputs differently, so the step totals differ
+    _, kdnf, _ = measured(RUN_CASES["kdnf-mixed"], None, plain=False)
+    _, hybrid, _ = measured(RUN_CASES["kdnf-hybrid"], None, plain=False)
+    assert kdnf["n_models"] == hybrid["n_models"]
+    assert kdnf["total_steps"] != hybrid["total_steps"]
+
+
+def test_plain_iteration_charges_each_run_output_as_it_goes():
+    ctr = StepCounter()
+    models = enum_kdnf(DENSE, counter=ctr)
+    assert isinstance(models, Models)
+    marks = []
+    for mask in models:
+        marks.append(ctr.n)
+        # as charge_output leaves it after each output
+        assert ctr.last == mask
+    # most outputs come from runs, at 4 steps each
+    steps = [b - a for a, b in zip(marks, marks[1:])]
+    assert steps.count(4) > 0.9 * len(steps)
+
+
+def test_next_on_models_is_plain_iteration():
+    ctr = StepCounter()
+    models = enum_term_models((1,), 3, counter=ctr)
+    assert [next(models) for _ in range(4)] == [0b100, 0b110, 0b111, 0b101]
+    assert ctr.n == 4 + 3 * 2
+    with pytest.raises(StopIteration):
+        next(models)
+
+
+def test_a_run_samples_the_node_gauge_like_its_outputs():
+    # nodes rise just before a run and fall before the next output
+    def factory(ctr):
+        def items():
+            yield 0
+            ctr.nodes += 5
+            yield Run([1, 2, 3], 1)
+            ctr.nodes -= 5
+            yield 4
+
+        return Models(items(), ctr)
+
+    for limit in (None, 2):
+        folded = measured(factory, limit, plain=False)
+        assert folded == measured(factory, limit, plain=True)
+        assert folded[1]["peak_aux_memory_estimate"] == 5

@@ -4,6 +4,8 @@ import math
 import random
 import subprocess
 import sys
+import tracemalloc
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -201,3 +203,27 @@ def test_step_counts_are_pinned(fn, n_models, total, max_delay, avg_delay):
     assert stats.total_steps == total
     assert stats.max_delay_steps == max_delay
     assert stats.avg_delay_steps == pytest.approx(avg_delay, rel=1e-12)
+
+
+def test_criterion_11_step_counts_are_pinned():
+    # recorded before Gray runs were folded in measure(); runs must not move them
+    d = generate("kdnf", 40, 1000, k=3, seed=11)
+    _, stats = measure(lambda c: enum_kdnf(d, counter=c), limit=100_000, collect=False)
+    assert stats.total_steps == 409383
+    assert stats.max_delay_steps == 1715
+    assert stats.avg_delay_steps == pytest.approx(4.02188, rel=1e-12)
+
+
+def test_frame_memory_does_not_grow_with_the_alphabet():
+    # n=20000: a frame keeps shift amounts and builds a slot's single-bit
+    # mask only when its Gray walk first reaches it, after 2^slot outputs.
+    # Most of what remains is one run of up to 4096 masks of 20000 bits.
+    d = generate("kdnf", 20000, 2000, k=3, seed=1)
+    tracemalloc.start()
+    try:
+        got = list(islice(enum_kdnf(d), 1000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(got) == 1000
+    assert peak <= 16 * 2**20

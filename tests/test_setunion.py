@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import cli_launch, set_families, shallow_recursion_limit
-from dnfenum.core import DnfFormatError, mask_from_bits
+from dnfenum.core import MAX_INPUT_VARS, DnfFormatError, mask_from_bits
 from dnfenum.instrument import measure
 from dnfenum.setunion import (
     SetFamily,
@@ -56,12 +56,18 @@ def test_parse_round_trip():
         ("p sets 3 1\np sets 3 1\n1 0\n", 2),  # duplicate header
         ("c nothing\n", 1),  # no header at all
         ("p sets 3 1\n1 x 0\n", 2),  # non-integer
+        ("p sets 65537 0\n", 1),  # n above MAX_INPUT_VARS
     ],
 )
 def test_parse_errors_carry_line_numbers(text, lineno):
     with pytest.raises(DnfFormatError) as exc:
         parse_sets(text)
     assert exc.value.lineno == lineno
+
+
+def test_parse_accepts_n_at_the_cap():
+    fam = parse_sets(f"p sets {MAX_INPUT_VARS} 1\n1 {MAX_INPUT_VARS} 0\n")
+    assert fam.n == MAX_INPUT_VARS and fam.sets == ((1, MAX_INPUT_VARS),)
 
 
 def test_extendable_union_examples():
