@@ -13,11 +13,10 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
-
-import numpy as np
 
 Term = tuple[int, ...]
 PartialAssignment = Mapping[int, int]
@@ -35,6 +34,21 @@ class DnfFormatError(ValueError):
     def __init__(self, lineno: int, message: str):
         super().__init__(f"line {lineno}: {message}")
         self.lineno = lineno
+
+
+#: numbers as the file formats spell them: ASCII digits after an optional
+#: sign.  int() alone would also take 1_0 or non-ASCII digits such as ３
+_INT_TOKEN = re.compile(r"[+-]?[0-9]+")
+_INT_TOKENS = re.compile(r"[+-]?[0-9]+(?: [+-]?[0-9]+)*")
+
+
+def parse_ints(tokens: list[str], lineno: int, line: str) -> list[int]:
+    """The tokens of one input line as ints; a token that is not an ASCII
+    signed integer raises DnfFormatError with the line number."""
+    if _INT_TOKENS.fullmatch(" ".join(tokens)) is None:
+        bad = next((t for t in tokens if _INT_TOKEN.fullmatch(t) is None), "")
+        raise DnfFormatError(lineno, f"non-integer token {bad!r} in {line!r}")
+    return [int(t) for t in tokens]
 
 
 def lit_index(lit: int) -> int:
@@ -194,10 +208,13 @@ def brute_force_models(d: Dnf) -> set[int]:
 
     Vectorised, but still a scan: meant as the ground-truth oracle for tests
     and --check-oracle, so it deliberately shares no logic with the
-    enumerators.  Refuses n > 24.
+    enumerators.  Refuses n > 24.  numpy is imported here, not with the
+    module, so that runs without the oracle do not pay for it.
     """
     if d.n > BRUTE_FORCE_MAX_VARS:
         raise ValueError(f"brute force limited to n <= {BRUTE_FORCE_MAX_VARS}")
+    import numpy as np
+
     masks = np.arange(1 << d.n, dtype=np.int64)
     sat = np.zeros(1 << d.n, dtype=bool)
     for pos, neg in d.term_masks:
@@ -222,10 +239,7 @@ def parse_dnf(text: str) -> Dnf:
             parts = line.split()
             if len(parts) != 4 or parts[0] != "p" or parts[1] != "dnf":
                 raise DnfFormatError(lineno, f"expected 'p dnf <n> <m>', got {line!r}")
-            try:
-                n, m = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise DnfFormatError(lineno, f"bad header numbers in {line!r}") from None
+            n, m = parse_ints(parts[2:], lineno, line)
             if n < 1 or m < 0:
                 raise DnfFormatError(lineno, "need n >= 1 and m >= 0")
             if n > MAX_INPUT_VARS:
@@ -236,11 +250,8 @@ def parse_dnf(text: str) -> Dnf:
         n, m = header
         if len(terms) >= m:
             raise DnfFormatError(lineno, f"more than {m} term lines")
-        try:
-            nums = [int(x) for x in line.split()]
-        except ValueError:
-            raise DnfFormatError(lineno, f"non-integer token in {line!r}") from None
-        if not nums or nums[-1] != 0:
+        nums = parse_ints(line.split(), lineno, line)
+        if nums[-1] != 0:
             raise DnfFormatError(lineno, "term line must end with 0")
         if 0 in nums[:-1]:
             raise DnfFormatError(lineno, "literal 0 before end of line")

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .core import MAX_INPUT_VARS, DnfFormatError
+from .core import MAX_INPUT_VARS, DnfFormatError, parse_ints
 from .instrument import StepCounter
 from .trie import Trie
 
@@ -90,10 +90,7 @@ def parse_sets(text: str) -> SetFamily:
             fields = line.split()
             if len(fields) != 4 or fields[1] != "sets":
                 raise DnfFormatError(ln, f"expected 'p sets <n> <m>', got {line!r}")
-            try:
-                n, m = int(fields[2]), int(fields[3])
-            except ValueError:
-                raise DnfFormatError(ln, f"bad header numbers in {line!r}") from None
+            n, m = parse_ints(fields[2:], ln, line)
             if n < 0 or m < 0:
                 raise DnfFormatError(ln, "n and m must be non-negative")
             if n > MAX_INPUT_VARS:
@@ -102,11 +99,8 @@ def parse_sets(text: str) -> SetFamily:
             continue
         if n is None:
             raise DnfFormatError(ln, "set line before 'p sets' header")
-        try:
-            nums = [int(f) for f in line.split()]
-        except ValueError:
-            raise DnfFormatError(ln, f"non-integer token in {line!r}") from None
-        if not nums or nums[-1] != 0:
+        nums = parse_ints(line.split(), ln, line)
+        if nums[-1] != 0:
             raise DnfFormatError(ln, "set line must end with 0")
         elems = nums[:-1]
         for a, b in zip(elems, elems[1:]):

@@ -12,10 +12,33 @@ enumeration algorithms read to decide how to branch.  The in-place
 restriction is strip_first(s): drop s from the words that start with it by
 merging the smaller side into the larger one, either child(s) into the
 root or the rest of the root into child(s).  :class:`TermTrie` adds the
-DNF-specific restrictions on the same merge loop: set_variable reinserts
-the stripped terms, set_variable_fast re-roots on the subtree of one
-literal.  Each returns an undo token; applying tokens in LIFO order restores
-the exact prior word set.
+DNF-specific restrictions on the same merge: set_variable reinserts the
+stripped terms, set_variable_fast re-roots on the subtree of one literal.
+Each returns an undo token; applying tokens in LIFO order restores the
+exact prior word set.
+
+The merge is one walk over the moved subtree (the source) and the trie
+(the target) together.  Where the target already has the child, the walk
+descends into it (a collision): it adds the source's word count to the
+target's and takes one back for each word that was already there.  Where
+the target lacks the child, the source subtree is linked in as it stands (a
+graft), shared and not copied.  Sharing is safe because the source is
+detached, or hangs off an old root that is no longer reachable, so only
+the merge's undo reads it again, and every later mutation is undone before
+that (LIFO).  One trace of the later mutations can outlive them: a grafted
+node that became the root and had children detached and put back keeps
+them in a new order.  On a trie that tracks minlen, where the child order
+feeds later step charges, the undo gives grafted nodes their order back.
+
+Undoing a merge is one op: it pops the grafts, puts back the count, minlen,
+word flag and payload of each node the walk collided with, and charges a
+step total computed at merge time.  That total depends only on the merged
+structure, which LIFO undo guarantees is back in place when the op runs.
+Steps are charged as if every moved word were inserted from the root, and
+undone by deleting each fresh one: the paper's cost model.  A grafted
+subtree is priced as the copy it replaces, and StepCounter.nodes counts
+its nodes as made, so peak_aux_memory_estimate is that of the copying
+merge while the real allocation is lower.
 """
 
 from __future__ import annotations
@@ -40,6 +63,35 @@ class _Node:
         self.count = 0
         self.minlen = NO_WORDS
         self.data = None
+
+
+def _subtree_size(node: _Node, orders: list | None) -> tuple[int, int, int]:
+    """(nodes, sum of the counts below node, minlen recalculation steps of
+    deleting its words in reverse iter_words order) of a subtree about to
+    be grafted.  The last is computed only with orders given, which also
+    logs the child order of each node with several children."""
+    nodes = below = inner = 0
+    stack = [node]
+    while stack:
+        nd = stack.pop()
+        nodes += 1
+        below += nd.count
+        if nd.s0 >= 0:
+            stack.append(nd.k0)
+            if orders is not None:
+                inner += nd.k0.count - 1
+        elif nd.kids:
+            kids = nd.kids
+            stack.extend(kids.values())
+            if orders is not None:
+                if len(kids) > 1:
+                    orders.append((nd, list(kids)))
+                i = 0
+                for k in kids.values():
+                    i += 1
+                    inner += i * k.count
+                inner -= i
+    return nodes, below - node.count, inner
 
 
 class Trie:
@@ -258,10 +310,14 @@ class Trie:
         Every word survives, and the smaller side moves: either child(s) is
         detached and its words are merged in at the root, or child(s)
         becomes the root and the root's other words are merged into it.
+        The merge grafts the moved subtrees the target lacks instead of
+        copying them, so until this token is undone they are shared with
+        the detached child or the hidden old root; undo them in LIFO order.
         Leaf payload lists travel with their words; where a moved word meets
         one already there, the lists are concatenated.  child(s) must exist,
         and the trie must not track minlen.  Charges one step, plus the
-        merge.  Returns an undo token.
+        merge, both as if each moved word were copied.  Returns an undo
+        token: a "detach" or "root" op followed by one "merge" op.
         """
         root = self.root
         kid = self._get(root, s)
@@ -271,60 +327,155 @@ class Trie:
             self._pop_child(root, s)
             root.count -= cnt
             token = [("detach", root, s, kid)]
-            self._merge(kid, (), token)
+            self._merge(kid, token)
         else:
             token = [("root", root)]
             self.root = kid
-            if root.word:
-                self._merge_word((), root.data, token)
-            for t, sub in self._child_items(root):
-                if t != s:
-                    self._merge(sub, (t,), token)
+            self._merge(root, token, (s,))
         return token
 
-    def _merge(self, node: _Node, prefix: tuple[int, ...], token: list) -> None:
-        """Insert prefix + each word below `node` at the root, logging to token.
+    def _merge(self, src: _Node, token: list, skip: tuple[int, ...] | None = None) -> None:
+        """Merge the words below src into the root by collisions and grafts
+        (see the module docstring), logging one undo op to token.
 
-        `node` must not be reachable from the root.  Charges one step per
-        node visited, plus the inserts; words go in iter_words order.
+        With skip None, src is a detached node and is visited; otherwise it
+        is the hidden old root, not visited, and its children in skip stay
+        out.  Charges what inserting each moved word from the root in
+        iter_words order would: one step per source node, len(w) + 1 per
+        word and one per node made.  The op charges what deleting the fresh
+        words in reverse order would.
         """
+        track = self.track_minlen
+        if src.s0 >= 0:
+            items = ((src.s0, src.k0),)
+        else:
+            items = src.kids.items() if src.kids else ()
+        if skip is None:
+            cnt = src.count
+            steps = 1
+        else:
+            items = [(t, k) for t, k in items if t not in skip]
+            cnt = src.word + sum(k.count for _, k in items)
+            if not cnt:
+                return
+            steps = 0
+        # collision nodes as they were: (node, count, minlen, word, payload)
+        cols: list[tuple] = []
+        grafts: list[tuple[_Node, int]] = []  # (parent, symbol) of each graft
+        orders: list | None = [] if track else None
+        made = 0  # nodes of the grafted subtrees
+        undo = 0  # steps of the undo: the fresh words and the made nodes
+        # steps of the undo's minlen recalculations.  Deleting a fresh word
+        # recalculates every node on its path that survives, at one step per
+        # child it still has: the children it had before the merge, plus
+        # the grafted ones that still hold a word.  In reverse iter_words
+        # order those are the grafts met no later than the word's own branch
+        rc = 0
+        # collisions to walk: (target, source, depth, the pair above, sum of
+        # the children each node above had when the walk passed through it)
+        pairs = [(self.root, src, 0, None, 0)]
+        while pairs:
+            pair = pairs.pop()
+            x, s, d, up, msum = pair
+            if d:
+                cnt = s.count
+                if s.s0 >= 0:
+                    items = ((s.s0, s.k0),)
+                else:
+                    items = s.kids.items() if s.kids else ()
+            cols.append((x, x.count, x.minlen, x.word, x.data))
+            x.count += cnt
+            present = 1 if x.s0 >= 0 else len(x.kids) if x.kids else 0
+            if s.word:
+                steps += d + 1
+                if x.word:
+                    # the word was already there: the counts took it twice
+                    x.count -= 1
+                    while up is not None:
+                        up[0].count -= 1
+                        up = up[3]
+                    rc -= msum
+                    if s.data is not None:
+                        x.data = x.data + s.data
+                else:
+                    x.word = True
+                    undo += d + 1
+                    rc += present
+                    if s.data is not None:
+                        x.data = s.data
+                    if track:
+                        x.minlen = 0
+            d += 1
+            for t, c in items:
+                steps += 1
+                if track and c.minlen + 1 < x.minlen:
+                    x.minlen = c.minlen + 1
+                if x.s0 == t:
+                    y = x.k0
+                elif x.kids is not None:
+                    y = x.kids.get(t)
+                else:
+                    y = None
+                if y is not None:
+                    rc += c.count * present
+                    pairs.append((y, c, d, pair, msum + present))
+                    continue
+                self._put(x, t, c)
+                grafts.append((x, t))
+                present += 1
+                if c.s0 < 0 and not c.kids:
+                    nodes = 1
+                    below = inner = 0
+                else:
+                    nodes, below, inner = _subtree_size(c, orders)
+                words = c.count * (d + 1) + below
+                steps += 2 * nodes - 1 + words
+                made += nodes
+                undo += words + nodes
+                rc += c.count * present - 1 + inner
         ctr = self.counter
-        stack = [(node, prefix)]
-        while stack:
-            nd, w = stack.pop()
-            ctr.n += 1
-            if nd.word:
-                self._merge_word(w, nd.data, token)
-            if nd.s0 >= 0:
-                stack.append((nd.k0, w + (nd.s0,)))
-            elif nd.kids:
-                # reversed, so that the first child is walked next
-                stack.extend([(k, w + (t,)) for t, k in reversed(nd.kids.items())])
-
-    def _merge_word(self, w: tuple[int, ...], data: list | None, token: list) -> None:
-        fresh, leaf = self.insert_get(w)
-        if fresh is not None:
-            token.append(("ins", w))
-            if data is not None:
-                leaf.data = list(data)
-        elif data is not None:
-            token.append(("data", leaf, leaf.data))
-            leaf.data = leaf.data + data
+        ctr.n += steps
+        if made:
+            self.node_count += made
+            ctr.nodes += made
+        if track:
+            undo += rc
+        token.append(("merge", cols, grafts, orders, made, undo))
 
     # -- undo log ------------------------------------------------------------
 
     def undo(self, token: list) -> None:
         """Reverse one mutation token; tokens must unwind in LIFO order.
 
-        Ops: ("ins", word) deletes a word inserted at the current root;
-        ("detach", parent, sym, child) re-attaches a detached subtree;
-        ("root", node) restores a previous root; ("data", node, old) puts
-        back a leaf's payload list.
+        Ops: ("merge", ...) takes back one merge: it pops the grafted
+        subtrees, puts back the count, minlen, word flag and payload of
+        each node the walk collided with, gives the grafted nodes back
+        their child order on a trie that tracks minlen, and charges what
+        the per-word deletes would; ("detach", parent, sym, child)
+        re-attaches a detached subtree; ("root", node) restores a previous
+        root.
         """
         for op in reversed(token):
             tag = op[0]
-            if tag == "ins":
-                self.delete(op[1])
+            if tag == "merge":
+                _, cols, grafts, orders, made, steps = op
+                for parent, s in grafts:
+                    self._pop_child(parent, s)
+                for x, count, minlen, word, data in cols:
+                    x.count = count
+                    x.minlen = minlen
+                    x.word = word
+                    x.data = data
+                if orders:
+                    for x, keys in orders:
+                        kids = x.kids
+                        if list(kids) != keys:
+                            x.kids = {s: kids[s] for s in keys}
+                ctr = self.counter
+                if made:
+                    self.node_count -= made
+                    ctr.nodes -= made
+                ctr.n += steps
             elif tag == "detach":
                 _, parent, s, child = op
                 self._put(parent, s, child)
@@ -334,8 +485,6 @@ class Trie:
                     parent.minlen = child.minlen + 1
             elif tag == "root":
                 self.root = op[1]
-            elif tag == "data":
-                op[1].data = op[2]
             else:
                 raise ValueError(f"bad undo op {tag!r}")
 
@@ -428,7 +577,7 @@ class TermTrie(Trie):
                 ctr.n += 1
                 self._absorb(token)
             else:
-                self._merge(strip, (), token)
+                self._merge(strip, token)
         return token
 
     def set_variable_fast(self, v: int, b: int = 1) -> list:
@@ -458,7 +607,5 @@ class TermTrie(Trie):
             # the term was the bare literal on v: tautology below this point
             self._absorb(token)
             return token
-        for s, kid in self._child_items(root):
-            if s != sat and s != sat ^ 1:
-                self._merge(kid, (s,), token)
+        self._merge(root, token, (sat, sat ^ 1))
         return token

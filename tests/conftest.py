@@ -83,6 +83,50 @@ def random_dnf(rng: random.Random, n: int, m: int, min_width: int = 1, max_width
     return Dnf(n, tuple(out))
 
 
+#: most terms inclusion_exclusion_count takes: it walks up to 2^m subsets
+IE_MAX_TERMS = 14
+
+
+def inclusion_exclusion_count(d: Dnf) -> int:
+    """|sat(d)| by inclusion-exclusion over the subsets of terms, for any n.
+
+    A consistent subset fixes the variables of its terms and leaves
+    2^(n - fixed) assignments.  An inconsistent subset and all its
+    supersets add nothing, so the walk cuts them off.  Shares no logic
+    with the enumerators; needs m <= IE_MAX_TERMS.
+    """
+    if d.m > IE_MAX_TERMS:
+        raise ValueError(f"inclusion-exclusion limited to m <= {IE_MAX_TERMS}")
+    tm = d.term_masks
+
+    def rec(i: int, pos: int, neg: int, sign: int) -> int:
+        total = 0
+        for j in range(i, len(tm)):
+            p, q = pos | tm[j][0], neg | tm[j][1]
+            if p & q == 0:
+                total += sign << (d.n - (p | q).bit_count())
+                total += rec(j + 1, p, q, -sign)
+        return total
+
+    return rec(0, 0, 0, 1)
+
+
+@st.composite
+def wide_dnfs(draw, max_n: int, signed: bool = True):
+    """Up to IE_MAX_TERMS terms over n <= max_n variables that each leave at
+    most 4 variables free, so the models stay few at any n.  Terms are
+    positive but for at most 2 negated literals each (none if not signed):
+    they share long trie prefixes, and restrictions merge long words."""
+    n = draw(st.integers(1, max_n))
+    m = draw(st.integers(1, IE_MAX_TERMS))
+    out = []
+    for _ in range(m):
+        free = set(draw(st.lists(st.integers(1, n), max_size=4, unique=True)))
+        neg = set(draw(st.lists(st.integers(1, n), max_size=2, unique=True))) if signed else set()
+        out.append(make_term([-v if v in neg else v for v in range(1, n + 1) if v not in free]))
+    return Dnf(n, tuple(dict.fromkeys(out)))
+
+
 @contextmanager
 def shallow_recursion_limit(headroom: int = 50):
     """Lower the recursion limit to `headroom` frames above the caller's depth.

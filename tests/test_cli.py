@@ -12,7 +12,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from conftest import cli_launch
+from conftest import child_env, cli_launch
 from dnfenum import (
     enum_avg,
     enum_flashlight,
@@ -205,6 +205,33 @@ def test_every_dnf_algorithm_passes_its_oracle(example_file, algo, capsys):
     capsys.readouterr()
 
 
+LAZY_NUMPY_CHILD = """
+import contextlib, io, json, sys
+from dnfenum.cli import main
+
+def run(*args):
+    sys.stdin, out = io.StringIO("p dnf 3 2\\n1 2 0\\n-3 0\\n"), io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["-", "--algo", "avg", *args])
+    return [code, out.getvalue(), "numpy" in sys.modules]
+
+print(json.dumps(["numpy" in sys.modules, run("--count"), run("--check-oracle")]))
+"""
+
+
+def test_numpy_is_imported_only_by_the_oracle():
+    # numpy serves only the brute-force oracle; loading it with the CLI
+    # would add its import time to the setup of every run
+    proc = subprocess.run(
+        [sys.executable, "-c", LAZY_NUMPY_CHILD], capture_output=True, text=True, env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    at_import, count_run, oracle_run = json.loads(proc.stdout)
+    assert not at_import
+    assert count_run == [0, "5\n", False]
+    assert oracle_run[0] == 0 and len(oracle_run[1].splitlines()) == 5 and oracle_run[2]
+
+
 def test_avg_slow_mode(example_file, capsys):
     assert main(["--algo", "avg", "--mode", "t10", "--check-oracle", example_file]) == 0
     capsys.readouterr()
@@ -285,6 +312,25 @@ def test_malformed_file(tmp_path, capsys):
     f.write_text("p dnf 2 1\n5 0\n")
     assert main(["--algo", "flashlight", str(f)]) == 3
     assert "dnfenum:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text,algo,lineno",
+    [
+        ("p dnf 1_0 1\n1 0\n", "avg", 1),
+        ("p dnf 3 1\n1 \uff13 0\n", "avg", 2),
+        ("p sets 1_0 1\n1 0\n", "setunion", 1),
+        ("p sets 3 1\n1 \uff13 0\n", "setunion", 2),
+    ],
+)
+def test_numbers_must_be_ascii_integers(tmp_path, capsys, text, algo, lineno):
+    # int() alone reads 1_0 as 10 and a full-width digit as that digit
+    f = tmp_path / "in.txt"
+    f.write_text(text, encoding="utf-8")
+    assert main(["--algo", algo, "--count", str(f)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"dnfenum: line {lineno}: non-integer token ")
+    assert captured.out == ""
 
 
 def test_setunion_rejects_dnf_file(example_file, capsys):
@@ -650,6 +696,10 @@ CAP_DNF = f"p dnf {MAX_INPUT_VARS} 1\n1 -{MAX_INPUT_VARS} 0\n"
 @example(case=("kdnf", CAP_DNF), out=["--format", "flips"])
 @example(case=("term-gray", CAP_DNF), out=["--format", "flips"])
 @example(case=("setunion", f"p sets {MAX_INPUT_VARS} 1\n{MAX_INPUT_VARS} 0\n"), out=["--count"])
+@example(case=("avg", "p dnf 1_0 1\n1 0\n"), out=["--count"])
+@example(case=("avg", "p dnf 3 1\n1 \uff13 0\n"), out=["--count"])
+@example(case=("setunion", "p sets 1_0 1\n1 0\n"), out=["--count"])
+@example(case=("setunion", "p sets 3 1\n1 \uff13 0\n"), out=["--count"])
 def test_fuzzed_input_ends_in_exit_0_or_3(case, out):
     algo, text = case
     stdout, stderr = io.StringIO(), io.StringIO()

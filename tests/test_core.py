@@ -57,6 +57,9 @@ def test_parse_rejects_contradictory_literals():
         "p dnf 0 0\n",               # n must be positive
         "p dnf 2 1\nx 0\n",          # non-integer literal
         "p dnf 65537 0\n",           # n above MAX_INPUT_VARS
+        "p dnf 1_0 1\n1 0\n",        # underscore: int() reads 10
+        "p dnf 3 1\n1 \uff13 0\n",     # full-width 3: int() reads 3
+        "p dnf 3 1\n1 0x2 0\n",       # not decimal
     ],
 )
 def test_parse_rejects_malformed(text):

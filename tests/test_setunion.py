@@ -57,6 +57,8 @@ def test_parse_round_trip():
         ("c nothing\n", 1),  # no header at all
         ("p sets 3 1\n1 x 0\n", 2),  # non-integer
         ("p sets 65537 0\n", 1),  # n above MAX_INPUT_VARS
+        ("p sets 1_0 1\n1 0\n", 1),  # underscore: int() reads 10
+        ("p sets 3 1\n1 \uff13 0\n", 2),  # full-width 3: int() reads 3
     ],
 )
 def test_parse_errors_carry_line_numbers(text, lineno):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from conftest import dnfs
-from dnfenum.core import Dnf, restrict
+from dnfenum.core import Dnf, lit_index, restrict
 from dnfenum.instances import generate
 from dnfenum.instrument import StepCounter
 from dnfenum.trie import NO_WORDS, TermTrie, Trie
@@ -224,17 +224,159 @@ def test_minlen_tracking():
     assert t.root.minlen == 3
 
 
-def test_merge_inserts_in_iter_words_order():
-    # undo deletes the inserted words in reverse order, and on a trie that
-    # tracks minlen the charges of those deletes depend on that order
-    t = Trie(6)
-    for w in [(0, 3), (0, 1, 5), (0, 1), (0, 4), (2,), (2, 2), (5, 5), (5, 4), (5, 3)]:
-        t.insert(w)
-    moved = list(t.iter_words(t._get(t.root, 0)))
-    assert moved == [(3,), (1,), (1, 5), (4,)]
-    token = t.strip_first(0)  # 4 of 9 words: child(0) is detached and merged
-    assert token[0][0] == "detach"
-    assert [op[1] for op in token if op[0] == "ins"] == moved
+class _PerWordMerge:
+    """The copying merge: every moved word is inserted from the root, in
+    iter_words order, and undo deletes the fresh words one by one in
+    reverse order.  The reference the one-walk graft merge must match."""
+
+    def _merge(self, src, token, skip=None):
+        if skip is None:
+            self._ref_merge(src, (), token)
+            return
+        if src.word:
+            self._ref_word((), src.data, token)
+        for t, sub in list(self._child_items(src)):
+            if t not in skip:
+                self._ref_merge(sub, (t,), token)
+
+    def _ref_merge(self, node, prefix, token):
+        stack = [(node, prefix)]
+        while stack:
+            nd, w = stack.pop()
+            self.counter.n += 1
+            if nd.word:
+                self._ref_word(w, nd.data, token)
+            stack.extend([(k, w + (t,)) for t, k in reversed(list(self._child_items(nd)))])
+
+    def _ref_word(self, w, data, token):
+        fresh, leaf = self.insert_get(w)
+        if fresh is not None:
+            token.append(("ins", w))
+            if data is not None:
+                leaf.data = list(data)
+        elif data is not None:
+            token.append(("data", leaf, leaf.data))
+            leaf.data = leaf.data + data
+
+    def undo(self, token):
+        for op in reversed(token):
+            if op[0] == "ins":
+                self.delete(op[1])
+            elif op[0] == "data":
+                op[1].data = op[2]
+            else:
+                super().undo([op])
+
+
+class RefTermTrie(_PerWordMerge, TermTrie):
+    pass
+
+
+def node_table(t: Trie, ordered: bool) -> dict:
+    """Every node by its path: word flag, count, minlen, payload and child
+    symbols (in order when `ordered`, else sorted)."""
+    table = {}
+    stack = [((), t.root)]
+    while stack:
+        path, nd = stack.pop()
+        kids = list(t._child_items(nd))
+        syms = [s for s, _ in kids]
+        table[path] = (
+            nd.word,
+            nd.count,
+            nd.minlen,
+            nd.data if nd.word else None,
+            syms if ordered else sorted(syms),
+        )
+        stack.extend((path + (s,), k) for s, k in kids)
+    return table
+
+
+def assert_same_trie(new: Trie, ref: Trie) -> None:
+    # on a minlen trie the child order feeds later charges, so it must match
+    assert node_table(new, new.track_minlen) == node_table(ref, ref.track_minlen)
+    assert new.node_count == ref.node_count
+    assert (new.counter.n, new.counter.nodes) == (ref.counter.n, ref.counter.nodes)
+
+
+def random_terms(rng: random.Random, n: int) -> list[tuple[int, ...]]:
+    terms = set()
+    for _ in range(rng.randint(1, 40)):
+        vs = sorted(rng.sample(range(1, n + 1), rng.randint(0, min(n, 5))))
+        terms.add(tuple(v if rng.random() < 0.5 else -v for v in vs))
+    return sorted(terms)
+
+
+@pytest.mark.parametrize("track", [False, True], ids=["plain", "minlen"])
+@pytest.mark.parametrize("payload", [False, True], ids=["bare", "data"])
+@pytest.mark.parametrize("seed", range(40))
+def test_merge_and_undo_match_the_per_word_merge(seed, payload, track):
+    """Nested LIFO restrictions agree with the copying merge after every op
+    and every undo: words, payloads, every node's count and minlen, the node
+    gauge and the step counter."""
+    rng = random.Random(seed * 4 + 2 * payload + track)
+    n = rng.randint(2, 7)
+    terms = random_terms(rng, n)
+    tries = []
+    for cls in (TermTrie, RefTermTrie):
+        tt = cls(n, counter=StepCounter(), track_minlen=track)
+        for i, term in enumerate(terms):
+            fresh, leaf = tt.insert_get(tuple(lit_index(lit) for lit in term))
+            if payload:
+                leaf.data = [i]
+        tries.append(tt)
+    new, ref = tries
+    assert_same_trie(new, ref)
+    stack = []
+    for _ in range(60):
+        if stack and (len(stack) >= 8 or rng.random() < 0.4):
+            tok_new, tok_ref = stack.pop()
+            new.undo(tok_new)
+            ref.undo(tok_ref)
+        else:
+            heads = [s for s, _ in new._child_items(new.root)]
+            ops = ["set", "fast"] + (["strip"] if heads and not track else [])
+            op = rng.choice(ops)
+            if op == "strip":
+                s = rng.choice(heads)
+                stack.append((new.strip_first(s), ref.strip_first(s)))
+            else:
+                v, b = rng.randint(1, n), rng.randint(0, 1)
+                name = "set_variable" if op == "set" else "set_variable_fast"
+                stack.append((getattr(new, name)(v, b), getattr(ref, name)(v, b)))
+        assert_same_trie(new, ref)
+    while stack:
+        tok_new, tok_ref = stack.pop()
+        new.undo(tok_new)
+        ref.undo(tok_ref)
+        assert_same_trie(new, ref)
+    assert sorted(new.decode()) == sorted(terms)
+
+
+def test_graft_undo_gives_back_the_child_order_of_a_minlen_trie():
+    # setting x1 grafts the subtree of x1 x2 under the root; re-rooting on
+    # x2 and setting x3 there moves child x3 behind x4.  Taking the graft
+    # back must restore the order of the subtree it came from: on a minlen
+    # trie the next merge of that subtree prices its undo in that order
+    d = Dnf(5, ((1, 2, 3), (1, 2, 3, 5), (1, 2, 4)))
+    new, ref = (cls.from_dnf(d, counter=StepCounter(), track_minlen=True) for cls in (TermTrie, RefTermTrie))
+    x2 = lit_index(2)
+    sub = new._get(new._get(new.root, lit_index(1)), x2)
+    assert [s for s, _ in new._child_items(sub)] == [lit_index(3), lit_index(4)]
+    tokens = []
+    for op, args in [("set_variable", (1, 1)), ("set_variable_fast", (2, 1)), ("set_variable", (3, 1))]:
+        tokens.append((getattr(new, op)(*args), getattr(ref, op)(*args)))
+        assert_same_trie(new, ref)
+    assert new.root.word  # x1 x2 x3 holds: the empty term absorbed the rest
+    while tokens:
+        tok_new, tok_ref = tokens.pop()
+        new.undo(tok_new)
+        ref.undo(tok_ref)
+        assert_same_trie(new, ref)
+    assert [s for s, _ in new._child_items(sub)] == [lit_index(3), lit_index(4)]
+    for tt in (new, ref):
+        tt.undo(tt.set_variable(1, 1))
+    assert_same_trie(new, ref)
 
 
 # -- term tries ---------------------------------------------------------------
