@@ -13,7 +13,7 @@ Three strategies with different delay profiles:
 
 from __future__ import annotations
 
-from .core import Dnf
+from .core import Dnf, bits_word
 from .graycode import GrayState, term_start_mask
 from .instrument import StepCounter
 from .trie import Trie
@@ -65,10 +65,6 @@ def enum_union_priority(d: Dnf, *, counter: StepCounter | None = None):
     return gen()
 
 
-def _bits_word(mask: int, n: int) -> tuple[int, ...]:
-    return tuple((mask >> (n - 1 - j)) & 1 for j in range(n))
-
-
 def enum_union_ordered(d: Dnf, *, counter: StepCounter | None = None):
     """Merge per-term lexicographic walks; outputs in increasing order.
 
@@ -100,7 +96,7 @@ def enum_union_ordered(d: Dnf, *, counter: StepCounter | None = None):
 
     def put(i: int) -> None:
         mask = term_mask(i)
-        fresh, leaf = frontier.insert_get(_bits_word(mask, n))
+        fresh, leaf = frontier.insert_get(bits_word(mask, n))
         if fresh is not None:
             leaf.data = [i]
         else:

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .avg import MODE_FAST, _trie_dfs, enum_avg
-from .core import Dnf, Term
+from .core import Dnf, Term, bits_word
 from .instrument import StepCounter
 from .trie import TermTrie, Trie
 
@@ -136,9 +136,6 @@ def enum_monotone_rs(md, *, counter: StepCounter | None = None):
     n = d.n
     model_trie = Trie(2, counter=ctr)
 
-    def word_of(mask: int) -> tuple[int, ...]:
-        return tuple((mask >> (n - 1 - j)) & 1 for j in range(n))
-
     def gen():
         for t in d.terms:
             base = 0
@@ -151,7 +148,7 @@ def enum_monotone_rs(md, *, counter: StepCounter | None = None):
             cur = _RsNode(base, -1, None)
             while cur is not None:
                 mask = cur.mask
-                fresh = model_trie.insert(word_of(mask))
+                fresh = model_trie.insert(bits_word(mask, n))
                 if not fresh:
                     raise RuntimeError("reverse-search visit repeated a model")
                 ctr.charge_output(mask, n)
@@ -160,7 +157,7 @@ def enum_monotone_rs(md, *, counter: StepCounter | None = None):
                 for j in range(cur.last + 1, len(free)):
                     cand = mask | bits[j]
                     ctr.n += 1
-                    if model_trie.search(word_of(cand)) is None:
+                    if model_trie.search(bits_word(cand, n)) is None:
                         succs.append(_RsNode(cand, j, None))
                 for a, b in zip(succs, succs[1:]):
                     a.nxt = b

@@ -19,11 +19,11 @@ The walk is one loop over an explicit stack of frames, one per element
 whose branch is open, so no recursion limit bounds n and resuming after an
 output does not climb a chain of suspended generators.  Since every live
 word starts at or after the current element, the next element that heads a
-word is the lowest set bit of the root's child mask from there on; the
-elements before it have no root child, and the loop jumps over them while
-still charging each its one step, in a single add.  Step charges, and so
-the output stream and every delay, are the same as those of the
-element-by-element recursion the loop replaced.
+word is the root's smallest child symbol; the elements before it have no
+root child, and the loop jumps over them while still charging each its one
+step, in a single add.  Step charges, and so the output stream and every
+delay, are the same as those of the element-by-element recursion the loop
+replaced.
 """
 
 from __future__ import annotations
@@ -212,10 +212,8 @@ def enum_unions(fam: SetFamily, *, counter: StepCounter | None = None):
                 ctr.n += skip + 1
                 # e out of the union: sets containing e die; the survivors'
                 # union must still cover the elements already ruled in
-                kid = trie._pop_child(root, e)
-                root.count -= kid.count
-                token = [("detach", root, e, kid)]
-                died = kill_subtree(kid)
+                token = []
+                died = kill_subtree(trie.detach(e, token))
                 live -= len(died)
                 u = 0
                 for i in range(m):

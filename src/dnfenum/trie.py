@@ -25,20 +25,17 @@ the target lacks the child, the source subtree is linked in as it stands (a
 graft), shared and not copied.  Sharing is safe because the source is
 detached, or hangs off an old root that is no longer reachable, so only
 the merge's undo reads it again, and every later mutation is undone before
-that (LIFO).  One trace of the later mutations can outlive them: a grafted
-node that became the root and had children detached and put back keeps
-them in a new order.  On a trie that tracks minlen, where the child order
-feeds later step charges, the undo gives grafted nodes their order back.
+that (LIFO).
 
-Undoing a merge is one op: it pops the grafts, puts back the count, minlen,
-word flag and payload of each node the walk collided with, and charges a
-step total computed at merge time.  That total depends only on the merged
-structure, which LIFO undo guarantees is back in place when the op runs.
-Steps are charged as if every moved word were inserted from the root, and
-undone by deleting each fresh one: the paper's cost model.  A grafted
-subtree is priced as the copy it replaces, and StepCounter.nodes counts
-its nodes as made, so peak_aux_memory_estimate is that of the copying
-merge while the real allocation is lower.
+Undoing a merge is one op: it pops the grafts and puts back the count,
+minlen, word flag and payload of each node the walk collided with, from a
+snapshot taken at merge time.  Steps are charged as if every moved word
+were inserted from the root: the paper's cost model.  The undo costs the
+same on every trie: the sum over the fresh words of len(w) + 1, plus the
+nodes the merge made; minlen comes back from the snapshot at no charge of
+its own.  A grafted subtree is priced as the copy it replaces, and
+StepCounter.nodes counts its nodes as made, so peak_aux_memory_estimate is
+that of the copying merge while the real allocation is lower.
 """
 
 from __future__ import annotations
@@ -65,12 +62,9 @@ class _Node:
         self.data = None
 
 
-def _subtree_size(node: _Node, orders: list | None) -> tuple[int, int, int]:
-    """(nodes, sum of the counts below node, minlen recalculation steps of
-    deleting its words in reverse iter_words order) of a subtree about to
-    be grafted.  The last is computed only with orders given, which also
-    logs the child order of each node with several children."""
-    nodes = below = inner = 0
+def _subtree_size(node: _Node) -> tuple[int, int]:
+    """(nodes, sum of the counts below node) of a subtree about to be grafted."""
+    nodes = below = 0
     stack = [node]
     while stack:
         nd = stack.pop()
@@ -78,20 +72,9 @@ def _subtree_size(node: _Node, orders: list | None) -> tuple[int, int, int]:
         below += nd.count
         if nd.s0 >= 0:
             stack.append(nd.k0)
-            if orders is not None:
-                inner += nd.k0.count - 1
         elif nd.kids:
-            kids = nd.kids
-            stack.extend(kids.values())
-            if orders is not None:
-                if len(kids) > 1:
-                    orders.append((nd, list(kids)))
-                i = 0
-                for k in kids.values():
-                    i += 1
-                    inner += i * k.count
-                inner -= i
-    return nodes, below - node.count, inner
+            stack.extend(nd.kids.values())
+    return nodes, below - node.count
 
 
 class Trie:
@@ -304,6 +287,18 @@ class Trie:
 
     # -- strip and merge ---------------------------------------------------
 
+    def detach(self, s: int, token: list) -> _Node | None:
+        """Pop the root's child s, if any, and log its re-attach to token.
+
+        Charges nothing; the caller prices the probe.  Returns the child.
+        """
+        root = self.root
+        kid = self._pop_child(root, s)
+        if kid is not None:
+            root.count -= kid.count
+            token.append(("detach", root, s, kid))
+        return kid
+
     def strip_first(self, s: int) -> list:
         """Strip the symbol s from the words that start with it, in place.
 
@@ -323,13 +318,12 @@ class Trie:
         kid = self._get(root, s)
         cnt = kid.count
         self.counter.n += 1
+        token: list = []
         if cnt <= root.count - cnt:
-            self._pop_child(root, s)
-            root.count -= cnt
-            token = [("detach", root, s, kid)]
+            self.detach(s, token)
             self._merge(kid, token)
         else:
-            token = [("root", root)]
+            token.append(("root", root))
             self.root = kid
             self._merge(root, token, (s,))
         return token
@@ -342,8 +336,8 @@ class Trie:
         is the hidden old root, not visited, and its children in skip stay
         out.  Charges what inserting each moved word from the root in
         iter_words order would: one step per source node, len(w) + 1 per
-        word and one per node made.  The op charges what deleting the fresh
-        words in reverse order would.
+        word and one per node made.  The op charges len(w) + 1 per fresh
+        word and one per node made.
         """
         track = self.track_minlen
         if src.s0 >= 0:
@@ -362,21 +356,13 @@ class Trie:
         # collision nodes as they were: (node, count, minlen, word, payload)
         cols: list[tuple] = []
         grafts: list[tuple[_Node, int]] = []  # (parent, symbol) of each graft
-        orders: list | None = [] if track else None
         made = 0  # nodes of the grafted subtrees
         undo = 0  # steps of the undo: the fresh words and the made nodes
-        # steps of the undo's minlen recalculations.  Deleting a fresh word
-        # recalculates every node on its path that survives, at one step per
-        # child it still has: the children it had before the merge, plus
-        # the grafted ones that still hold a word.  In reverse iter_words
-        # order those are the grafts met no later than the word's own branch
-        rc = 0
-        # collisions to walk: (target, source, depth, the pair above, sum of
-        # the children each node above had when the walk passed through it)
-        pairs = [(self.root, src, 0, None, 0)]
+        # collisions to walk: (target, source, depth, the pair above)
+        pairs = [(self.root, src, 0, None)]
         while pairs:
             pair = pairs.pop()
-            x, s, d, up, msum = pair
+            x, s, d, up = pair
             if d:
                 cnt = s.count
                 if s.s0 >= 0:
@@ -385,7 +371,6 @@ class Trie:
                     items = s.kids.items() if s.kids else ()
             cols.append((x, x.count, x.minlen, x.word, x.data))
             x.count += cnt
-            present = 1 if x.s0 >= 0 else len(x.kids) if x.kids else 0
             if s.word:
                 steps += d + 1
                 if x.word:
@@ -394,13 +379,11 @@ class Trie:
                     while up is not None:
                         up[0].count -= 1
                         up = up[3]
-                    rc -= msum
                     if s.data is not None:
                         x.data = x.data + s.data
                 else:
                     x.word = True
                     undo += d + 1
-                    rc += present
                     if s.data is not None:
                         x.data = s.data
                     if track:
@@ -417,48 +400,42 @@ class Trie:
                 else:
                     y = None
                 if y is not None:
-                    rc += c.count * present
-                    pairs.append((y, c, d, pair, msum + present))
+                    pairs.append((y, c, d, pair))
                     continue
                 self._put(x, t, c)
                 grafts.append((x, t))
-                present += 1
                 if c.s0 < 0 and not c.kids:
                     nodes = 1
-                    below = inner = 0
+                    below = 0
                 else:
-                    nodes, below, inner = _subtree_size(c, orders)
+                    nodes, below = _subtree_size(c)
                 words = c.count * (d + 1) + below
                 steps += 2 * nodes - 1 + words
                 made += nodes
                 undo += words + nodes
-                rc += c.count * present - 1 + inner
         ctr = self.counter
         ctr.n += steps
         if made:
             self.node_count += made
             ctr.nodes += made
-        if track:
-            undo += rc
-        token.append(("merge", cols, grafts, orders, made, undo))
+        token.append(("merge", cols, grafts, made, undo))
 
     # -- undo log ------------------------------------------------------------
 
     def undo(self, token: list) -> None:
         """Reverse one mutation token; tokens must unwind in LIFO order.
 
-        Ops: ("merge", ...) takes back one merge: it pops the grafted
-        subtrees, puts back the count, minlen, word flag and payload of
-        each node the walk collided with, gives the grafted nodes back
-        their child order on a trie that tracks minlen, and charges what
-        the per-word deletes would; ("detach", parent, sym, child)
-        re-attaches a detached subtree; ("root", node) restores a previous
-        root.
+        Ops: ("merge", cols, grafts, made, steps) takes back one merge: it
+        pops the grafted subtrees, puts back the count, minlen, word flag
+        and payload of each node the walk collided with from the cols
+        snapshot, and charges steps, fixed at merge time;
+        ("detach", parent, sym, child) re-attaches a detached subtree;
+        ("root", node) restores a previous root.
         """
         for op in reversed(token):
             tag = op[0]
             if tag == "merge":
-                _, cols, grafts, orders, made, steps = op
+                _, cols, grafts, made, steps = op
                 for parent, s in grafts:
                     self._pop_child(parent, s)
                 for x, count, minlen, word, data in cols:
@@ -466,11 +443,6 @@ class Trie:
                     x.minlen = minlen
                     x.word = word
                     x.data = data
-                if orders:
-                    for x, keys in orders:
-                        kids = x.kids
-                        if list(kids) != keys:
-                            x.kids = {s: kids[s] for s in keys}
                 ctr = self.counter
                 if made:
                     self.node_count -= made
@@ -559,16 +531,9 @@ class TermTrie(Trie):
         # literal ranks: 2v-2 is -v and 2v-1 is v
         sat = 2 * v - 2 + b
         ctr = self.counter
-        dead = self._pop_child(root, sat ^ 1)
-        ctr.n += 1
-        if dead is not None:
-            root.count -= dead.count
-            token.append(("detach", root, sat ^ 1, dead))
-        strip = self._pop_child(root, sat)
-        ctr.n += 1
-        if strip is not None:
-            root.count -= strip.count
-            token.append(("detach", root, sat, strip))
+        dead = self.detach(sat ^ 1, token)
+        strip = self.detach(sat, token)
+        ctr.n += 2
         if self.track_minlen and (dead is not None or strip is not None):
             self._recalc_minlen(root)
         if strip is not None:
@@ -599,9 +564,9 @@ class TermTrie(Trie):
         ctr.n += 1
         token.append(("root", root))
         if base is None:
+            # like _absorb's leaf, this empty root stands in for the root it
+            # hides, so the node gauge does not count it
             base = _Node()
-            self.node_count += 1
-            ctr.nodes += 1
         self.root = base
         if base.word:
             # the term was the bare literal on v: tautology below this point

@@ -233,8 +233,12 @@ def test_reverse_search_memory_holds_all_models():
         # now goes through Trie.strip_first, which charges a re-root the one
         # step that setunion's already paid; the max delay is unchanged
         (Dnf(8, ((1, 2), (3, 4))), 112, 1068, 43, 8.848214285714286),
+        # the avg phase undoes merges on its minlen-tracking trie, priced
+        # as on any trie: 76,710 steps and a max delay of 821 while that
+        # undo also charged the per-word minlen recalculations
+        (generate("monotone", 13, 19, seed=12), 7376, 76634, 811, 10.36117136659436),
     ],
-    ids=["width-5-of-6", "width-4-of-8", "two-pairs"],
+    ids=["width-5-of-6", "width-4-of-8", "two-pairs", "monotone-13-19-seed-12"],
 )
 def test_log_step_counts_are_pinned(d, n_models, total, max_delay, avg_delay):
     # recorded from the recursive complement walk the frame stack replaced

@@ -227,7 +227,10 @@ def test_minlen_tracking():
 class _PerWordMerge:
     """The copying merge: every moved word is inserted from the root, in
     iter_words order, and undo deletes the fresh words one by one in
-    reverse order.  The reference the one-walk graft merge must match."""
+    reverse order.  The reference the one-walk graft merge must match.
+    A delete is priced as its walk and its pruned nodes: minlen needs no
+    recalculation steps, since the graft merge's undo puts it back from a
+    snapshot."""
 
     def _merge(self, src, token, skip=None):
         if skip is None:
@@ -261,7 +264,10 @@ class _PerWordMerge:
     def undo(self, token):
         for op in reversed(token):
             if op[0] == "ins":
+                ctr = self.counter
+                steps, nodes = ctr.n, ctr.nodes
                 self.delete(op[1])
+                ctr.n = steps + len(op[1]) + 1 + nodes - ctr.nodes
             elif op[0] == "data":
                 op[1].data = op[2]
             else:
@@ -272,29 +278,21 @@ class RefTermTrie(_PerWordMerge, TermTrie):
     pass
 
 
-def node_table(t: Trie, ordered: bool) -> dict:
-    """Every node by its path: word flag, count, minlen, payload and child
-    symbols (in order when `ordered`, else sorted)."""
+def node_table(t: Trie) -> dict:
+    """Every node by its path: word flag, count, minlen, payload and the set
+    of its child symbols."""
     table = {}
     stack = [((), t.root)]
     while stack:
         path, nd = stack.pop()
         kids = list(t._child_items(nd))
-        syms = [s for s, _ in kids]
-        table[path] = (
-            nd.word,
-            nd.count,
-            nd.minlen,
-            nd.data if nd.word else None,
-            syms if ordered else sorted(syms),
-        )
+        table[path] = (nd.word, nd.count, nd.minlen, nd.data if nd.word else None, {s for s, _ in kids})
         stack.extend((path + (s,), k) for s, k in kids)
     return table
 
 
 def assert_same_trie(new: Trie, ref: Trie) -> None:
-    # on a minlen trie the child order feeds later charges, so it must match
-    assert node_table(new, new.track_minlen) == node_table(ref, ref.track_minlen)
+    assert node_table(new) == node_table(ref)
     assert new.node_count == ref.node_count
     assert (new.counter.n, new.counter.nodes) == (ref.counter.n, ref.counter.nodes)
 
@@ -353,30 +351,53 @@ def test_merge_and_undo_match_the_per_word_merge(seed, payload, track):
     assert sorted(new.decode()) == sorted(terms)
 
 
-def test_graft_undo_gives_back_the_child_order_of_a_minlen_trie():
-    # setting x1 grafts the subtree of x1 x2 under the root; re-rooting on
-    # x2 and setting x3 there moves child x3 behind x4.  Taking the graft
-    # back must restore the order of the subtree it came from: on a minlen
-    # trie the next merge of that subtree prices its undo in that order
-    d = Dnf(5, ((1, 2, 3), (1, 2, 3, 5), (1, 2, 4)))
-    new, ref = (cls.from_dnf(d, counter=StepCounter(), track_minlen=True) for cls in (TermTrie, RefTermTrie))
-    x2 = lit_index(2)
-    sub = new._get(new._get(new.root, lit_index(1)), x2)
-    assert [s for s, _ in new._child_items(sub)] == [lit_index(3), lit_index(4)]
-    tokens = []
-    for op, args in [("set_variable", (1, 1)), ("set_variable_fast", (2, 1)), ("set_variable", (3, 1))]:
-        tokens.append((getattr(new, op)(*args), getattr(ref, op)(*args)))
-        assert_same_trie(new, ref)
-    assert new.root.word  # x1 x2 x3 holds: the empty term absorbed the rest
-    while tokens:
-        tok_new, tok_ref = tokens.pop()
-        new.undo(tok_new)
-        ref.undo(tok_ref)
-        assert_same_trie(new, ref)
-    assert [s for s, _ in new._child_items(sub)] == [lit_index(3), lit_index(4)]
-    for tt in (new, ref):
-        tt.undo(tt.set_variable(1, 1))
-    assert_same_trie(new, ref)
+@pytest.mark.parametrize("seed", range(30))
+def test_merge_undo_costs_the_same_with_and_without_minlen(seed):
+    """A merge's undo charges the fresh words and the made nodes on every
+    trie; tracking minlen adds nothing to it, and the minlen snapshot still
+    gives the root back its shortest term."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 7)
+    d = Dnf(n, tuple(random_terms(rng, n)))
+    plain, track = (TermTrie.from_dnf(d, counter=StepCounter(), track_minlen=t) for t in (False, True))
+
+    stack = []
+
+    def undo_both():
+        tok_plain, tok_track = stack.pop()
+        before = plain.counter.n, track.counter.n
+        plain.undo(tok_plain)
+        track.undo(tok_track)
+        assert plain.counter.n - before[0] == track.counter.n - before[1]
+
+    def check():
+        words = set(track.iter_words())
+        assert set(plain.iter_words()) == words
+        assert track.root.minlen == min((len(w) for w in words), default=NO_WORDS)
+
+    for _ in range(60):
+        if stack and (len(stack) >= 8 or rng.random() < 0.4):
+            undo_both()
+        else:
+            v, b = rng.randint(1, n), rng.randint(0, 1)
+            name = rng.choice(["set_variable", "set_variable_fast"])
+            stack.append((getattr(plain, name)(v, b), getattr(track, name)(v, b)))
+        check()
+    while stack:
+        undo_both()
+        check()
+    assert sorted(track.decode()) == sorted(d.terms)
+
+
+def test_fast_restriction_of_an_absent_literal_leaves_the_node_gauge_alone():
+    # x1 heads no term: set_variable_fast roots on a fresh empty node, which
+    # stands in for the root it hides and so is not counted
+    tt = TermTrie.from_dnf(Dnf(3, ((2,), (3,))), counter=StepCounter())
+    assert tt.node_count == tt.counter.nodes == 3
+    for _ in range(3):
+        tt.undo(tt.set_variable_fast(1, 1))
+        assert tt.node_count == tt.counter.nodes == 3
+    assert sorted(tt.decode()) == [(2,), (3,)]
 
 
 # -- term tries ---------------------------------------------------------------
