@@ -12,11 +12,11 @@ Three entry forms share one executable, the ``dnfenum`` console script;
   instance per size and emit a CSV of delay statistics.
 
 Exit codes: 0 success, 2 usage error, 3 unreadable or malformed input
-(a header n above ``MAX_INPUT_VARS`` = 2^16 counts as malformed) or an
-unwritable output file, 4 oracle mismatch under ``--check-oracle``,
-141 stdout closed by its reader (as in ``| head``; 128 + SIGPIPE, the
-status a shell reports for a writer killed by that signal).  The last
-ends the run quietly, with no traceback.
+(a header n, or a gen/sweep --n, above ``MAX_INPUT_VARS`` = 2^16 counts
+as malformed) or an unwritable output file, 4 oracle mismatch under
+``--check-oracle``, 141 stdout closed by its reader (as in ``| head``;
+128 + SIGPIPE, the status a shell reports for a writer killed by that
+signal).  The last ends the run quietly, with no traceback.
 
 Output formats: ``bits`` prints one full bit string per model; ``flips``
 prints the first model as a bit string and every later model as the

@@ -10,12 +10,15 @@ A walk holds the shift amount of each free variable (its bit is
 ``1 << shift``) and builds the single-bit mask of slot j only when the walk
 first reaches it, at output 2^j, so a walk that has made c outputs holds
 about log2(c) masks however wide the alphabet is.  Once nothing else runs
-between outputs, :meth:`GrayState.take` hands out a whole block of models
-from one loop, and :func:`enum_term_models` yields such blocks as runs (see
-:mod:`dnfenum.instrument`).
+between outputs, :meth:`GrayState.runs` hands out the rest of the walk as
+runs (see :mod:`dnfenum.instrument`), whole blocks of models made in one
+loop; :func:`enum_term_models` and the kdnf frames both end that way.
 """
 
 from __future__ import annotations
+
+from itertools import chain
+from typing import Iterator
 
 from .core import Dnf, Term
 from .instrument import SINK_BLOCK, Models, Run, StepCounter
@@ -24,10 +27,10 @@ from .instrument import SINK_BLOCK, Models, Run, StepCounter
 class GrayState:
     """Resumable Gray walk: a current mask plus per-slot shift amounts.
 
-    Callers emit ``mask`` first, then call advance() or take() until
-    remaining() is 0.  Keeping the walk as plain state (rather than a
-    generator) lets the budgeted enumerators suspend one walk, do other
-    work, and resume it.
+    Callers emit ``mask`` first, then call advance(), take() or runs()
+    until remaining() is 0; take() is the one flip loop under all three.
+    Keeping the walk as plain state (rather than a generator) lets the
+    budgeted enumerators suspend one walk, do other work, and resume it.
     """
 
     __slots__ = ("mask", "shifts", "bits", "i", "total")
@@ -43,22 +46,9 @@ class GrayState:
     def remaining(self) -> int:
         return self.total - 1 - self.i
 
-    def advance(self, ctr: StepCounter) -> int:
-        i = self.i + 1
-        j = (i & -i).bit_length() - 1
-        bits = self.bits
-        # output 2^j is the first to flip slot j, and every lower slot has
-        # been flipped by then
-        if j == len(bits):
-            bits.append(1 << self.shifts[j])
-        self.mask ^= bits[j]
-        self.i = i
-        ctr.n += 2
-        return self.mask
-
     def take(self, k: int) -> list[int]:
-        """The next k models (k <= remaining()), as advance() would give
-        them, but with no step charged: the caller prices them."""
+        """The next k models (k <= remaining()), with no step charged: the
+        caller prices them."""
         i = self.i
         bits = self.bits
         # the flips up to output i + k reach slots below its bit length
@@ -73,6 +63,16 @@ class GrayState:
         self.i = i
         self.mask = mask
         return out
+
+    def advance(self, ctr: StepCounter) -> int:
+        """The next model, charged the 2 steps of its flip."""
+        ctr.n += 2
+        return self.take(1)[0]
+
+    def runs(self, price: int) -> Iterator[Run]:
+        """The rest of the walk as runs of up to SINK_BLOCK models at `price` each."""
+        while left := self.remaining():
+            yield Run(self.take(min(left, SINK_BLOCK)), price)
 
 
 def term_start_mask(t: Term, n: int, ctr: StepCounter) -> tuple[int, list[int]]:
@@ -99,13 +99,7 @@ def enum_term_models(t: Term, n: int, *, counter: StepCounter | None = None) -> 
     ctr = counter if counter is not None else StepCounter()
     start, free = term_start_mask(t, n, ctr)
     gs = GrayState(start, free)
-
-    def gen():
-        yield gs.mask
-        while left := gs.remaining():
-            yield Run(gs.take(min(left, SINK_BLOCK)), 2)
-
-    return Models(gen(), ctr)
+    return Models(chain((gs.mask,), gs.runs(2)), ctr)
 
 
 def enum_single_term_dnf(d: Dnf, *, counter: StepCounter | None = None) -> Models:

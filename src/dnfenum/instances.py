@@ -10,12 +10,17 @@ import itertools
 import math
 import random
 
-from .core import Dnf, all_terms, make_term
+from .core import MAX_INPUT_VARS, Dnf, all_terms, make_term
 from .setunion import SetFamily
 
 
-def _count_terms(n: int, wmax: int, signed: bool) -> int:
-    return sum(math.comb(n, w) * ((1 << w) if signed else 1) for w in range(1, wmax + 1))
+def _count_terms(n: int, wmax: int, signed: bool, cap: int) -> int:
+    """The number of distinct terms of width 1..wmax, or a count past cap."""
+    total = 0
+    for total in itertools.accumulate(math.comb(n, w) << w * signed for w in range(1, wmax + 1)):
+        if total > cap:
+            break
+    return total
 
 
 def _all_candidate_terms(n: int, wmax: int, signed: bool) -> list[tuple[int, ...]]:
@@ -41,6 +46,8 @@ def generate(kind: str, n: int, m: int | None, k: int = 3, seed: int = 0):
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
+    if n > MAX_INPUT_VARS:
+        raise ValueError(f"n exceeds the limit of {MAX_INPUT_VARS} variables")
     rng = random.Random(seed)
     if kind == "all-terms":
         want = 3**n - 1
@@ -74,7 +81,7 @@ def generate(kind: str, n: int, m: int | None, k: int = 3, seed: int = 0):
         wmax, signed = min(k, n), True
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    total = _count_terms(n, wmax, signed)
+    total = _count_terms(n, wmax, signed, max(3 * m, 1 << 20))
     if m > total:
         raise ValueError(f"m={m} exceeds the number of distinct terms ({total})")
     if 3 * m >= total and total <= 1 << 20:

@@ -148,12 +148,12 @@ def measure(
     model and charges only the part taken.  The stats equal those of
     iterating the Models one mask at a time.
 
-    `sink`, if given, receives the models in order as nonempty lists of at
-    most SINK_BLOCK masks: each full list as it fills, and the remainder once
-    the run ends, whether by exhaustion or by `limit`.  Every model reaches
-    the sink exactly once.  The list is cleared and refilled after each call,
-    so a sink must copy what it wants to keep.  Sink calls sit outside the
-    step accounting.
+    `sink`, if given, receives the models in order: a list of exactly
+    SINK_BLOCK masks each time that many have gathered, and the nonempty
+    remainder once the run ends, whether by exhaustion or by `limit`.  Every
+    model reaches the sink exactly once.  The remainder list is measure()'s
+    own, so a sink must copy what it wants to keep.  Sink calls sit outside
+    the step accounting.
     """
     counter = StepCounter()
     t0 = time.perf_counter_ns()
@@ -162,92 +162,71 @@ def measure(
     items = gen.items if type(gen) is Models else gen
     run_t = Run
     models: list[int] = []
+    # the models not yet handed on; it holds SINK_BLOCK of them at flush_at
     chunk: list[int] = []
-    # every model joins the chunk, so it is full when n_models reaches this
     flush_at = SINK_BLOCK
     n_models = 0
     prev = pre
     max_delay = 0
     sum_delay = 0
-    last_gap = 0
     peak = counter.nodes
-    exhausted = True
     if limit is not None and limit <= 0:
         items = ()
-        exhausted = False
     for mask in items:  # an int mask, or a Run when items is a Models stream
         if type(mask) is run_t:
             masks, price = mask
             k = len(masks)
-            if limit is not None and n_models + k >= limit:
+            if limit is not None and k > limit - n_models:
                 k = limit - n_models
                 masks = masks[:k]
-                exhausted = False
             now = counter.n
+            # the first output's delay, never below the price of each later one
             gap = now - prev + price
             if gap > max_delay:
                 max_delay = gap
-            if k > 1:
-                gap = price
-                if gap > max_delay:
-                    max_delay = gap
-            last_gap = gap
-            sum_delay += now - prev + k * price
+            sum_delay += gap + (k - 1) * price
             prev = counter.n = now + k * price
             counter.last = masks[-1]
-            room = flush_at - n_models
+            if k > 1:
+                gap = price
             n_models += k
-            if collect:
-                models += masks
-            if sink is not None:
-                taken = 0
-                while k - taken >= room:
-                    chunk += masks[taken:taken + room]
-                    sink(chunk)
-                    chunk.clear()
-                    taken += room
-                    room = SINK_BLOCK
-                    flush_at += SINK_BLOCK
-                chunk += masks[taken:] if taken else masks
-            if counter.nodes > peak:
-                peak = counter.nodes
-            if not exhausted:
-                break
-            continue
-        now = counter.n
-        gap = now - prev
-        prev = now
-        last_gap = gap
-        if gap > max_delay:
-            max_delay = gap
-        sum_delay += gap
-        n_models += 1
-        if collect:
-            models.append(mask)
-        if sink is not None:
+            chunk += masks
+        else:
+            now = counter.n
+            gap = now - prev
+            prev = now
+            if gap > max_delay:
+                max_delay = gap
+            sum_delay += gap
+            n_models += 1
             chunk.append(mask)
-            if n_models == flush_at:
-                sink(chunk)
-                chunk.clear()
-                flush_at += SINK_BLOCK
+        # a run adds at most SINK_BLOCK masks, so at most one block is full
+        if n_models >= flush_at:
+            block = chunk[:SINK_BLOCK]
+            del chunk[:SINK_BLOCK]
+            flush_at += SINK_BLOCK
+            if collect:
+                models += block
+            if sink is not None:
+                sink(block)
         if counter.nodes > peak:
             peak = counter.nodes
         if limit is not None and n_models >= limit:
-            exhausted = False
             break
-    if chunk:
-        sink(chunk)
-    if exhausted and n_models:
+    else:
+        # the final delay, the last output's gap, includes the teardown tail
         tail = counter.n - prev
         sum_delay += tail
-        # the final delay includes the teardown tail
-        if tail:
-            max_delay = max(max_delay, last_gap + tail)
+        if tail and n_models:
+            max_delay = max(max_delay, gap + tail)
+    if collect:
+        models += chunk
+    if chunk and sink is not None:
+        sink(chunk)
     if counter.nodes > peak:
         peak = counter.nodes
-    total = pre + sum_delay if n_models else counter.n
     stats = DelayStats(
-        total_steps=total,
+        total_steps=pre + sum_delay if n_models else counter.n,
         n_models=n_models,
         max_delay_steps=max_delay,
         avg_delay_steps=(sum_delay / n_models) if n_models else 0.0,

@@ -24,12 +24,10 @@ from dataclasses import dataclass
 from .avg import _trie_dfs
 from .core import Dnf, PartialAssignment, Term, lit_index
 from .graycode import GrayState
-from .instrument import SINK_BLOCK, Models, Run, StepCounter
+from .instrument import Models, StepCounter
 from .trie import TermTrie
 
 LAMBDA_DEFAULT = 3.55301
-
-_DONE = object()
 
 
 def partition_assignments(t: Term) -> tuple[PartialAssignment, list[PartialAssignment]]:
@@ -90,8 +88,7 @@ def _calibrate_A() -> int:
     min_word = tuple(lit_index(lit) for lit in choose_min_term(d))
     frame = _make_frame(tt, 0, tuple(range(1, n0 + 1)), min_word, None, ctr, n0)
     start = ctr.n
-    frame.builder = _build_children(frame, None, ctr, n0)
-    while next(frame.builder, _DONE) is not _DONE:
+    for _ in _build_children(frame, None, ctr, n0):
         pass
     steps = ctr.n - start
     return math.ceil(steps / (k0 * k0 * m0))
@@ -125,7 +122,7 @@ class KdnfConfig:
 
 
 class _Frame:
-    __slots__ = ("tt", "assign", "unassigned", "min_word", "gray", "emitted", "builder", "children", "path")
+    __slots__ = ("tt", "assign", "unassigned", "min_word", "gray", "children", "path")
 
     def __init__(self, tt, assign, unassigned, min_word, gray, path):
         self.tt = tt
@@ -133,8 +130,6 @@ class _Frame:
         self.unassigned = unassigned
         self.min_word = min_word
         self.gray = gray
-        self.emitted = False
-        self.builder = None
         self.children: list[_Frame] = []
         self.path = path
 
@@ -226,10 +221,11 @@ def _kdnf_walk(d: Dnf, cfg: KdnfConfig | None, counter: StepCounter | None, hybr
     """Enumerate sat(d): the model stream and its live frame stack.
 
     Fills in the default counter and config.  After each model, the top
-    frame of the stack is the frame whose block holds that model.  Once a
-    frame's builder is done, the rest of its Gray walk comes as runs, each
-    output priced at the 2 steps of the flip plus the 2 of charge_output
-    for a one-bit change.
+    frame of the stack is the frame whose block holds that model.  A frame
+    is walked in one pass: one budget slice of child construction before
+    each output until the builder is done, then the rest of the Gray walk
+    as runs at 4 steps an output (2 for the flip, 2 for charge_output's
+    one-bit change), then whatever construction is left.
     """
     ctr = counter if counter is not None else StepCounter()
     if cfg is None:
@@ -247,43 +243,33 @@ def _kdnf_walk(d: Dnf, cfg: KdnfConfig | None, counter: StepCounter | None, hybr
     budget = cfg.d * cfg.A
     cutoff = cfg.lam * cfg.k
 
-    def run_slice(F):
-        allowance = budget
-        while allowance > 0 and F.builder is not None:
-            mark = ctr.n
-            if next(F.builder, _DONE) is _DONE:
-                F.builder = None
-                return
-            allowance -= ctr.n - mark
-
     def gen():
         while stack:
             F = stack[-1]
-            if not F.emitted and hybrid and len(F.unassigned) < cutoff:
+            if hybrid and len(F.unassigned) < cutoff:
                 yield from _trie_dfs(F.tt, list(F.unassigned), F.assign, ctr, fast=True)
-                stack.pop()
-                continue
-            gray = F.gray
-            if not F.emitted:
-                F.emitted = True
-                F.builder = _build_children(F, cfg, ctr, n)
-                mask = gray.mask
-            elif not (left := gray.remaining()):
-                while F.builder is not None:
-                    if next(F.builder, _DONE) is _DONE:
-                        F.builder = None
-                stack.pop()
-                stack.extend(reversed(F.children))
-                continue
-            elif F.builder is None:
-                yield Run(gray.take(min(left, SINK_BLOCK)), 4)
-                continue
             else:
-                mask = gray.advance(ctr)
-            if F.builder is not None:
-                run_slice(F)
-            ctr.charge_output(mask, n)
-            yield mask
+                gray = F.gray
+                builder = _build_children(F, cfg, ctr, n)
+                building = True
+                mask = gray.mask
+                while True:
+                    mark = ctr.n
+                    for _ in builder:  # one budget slice of construction
+                        if ctr.n - mark >= budget:
+                            break
+                    else:
+                        building = False
+                    ctr.charge_output(mask, n)
+                    yield mask
+                    if not (building and gray.remaining()):
+                        break
+                    mask = gray.advance(ctr)
+                yield from gray.runs(4)
+                for _ in builder:  # what is left if the walk ran out first
+                    pass
+            stack.pop()
+            stack.extend(reversed(F.children))
 
     return Models(gen(), ctr), stack
 

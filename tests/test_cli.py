@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -36,6 +37,7 @@ from dnfenum.core import (
     mask_from_bits,
     parse_dnf,
 )
+from dnfenum.instances import _count_terms
 from dnfenum.instrument import SINK_BLOCK
 from dnfenum.setunion import SetFamily, dumps_sets
 
@@ -442,6 +444,28 @@ def test_gen_sets_pipeline(tmp_path, capsys):
     assert main(["--algo", "setunion", "--check-oracle", "--count", str(fam_file)]) == 0
     out = capsys.readouterr().out
     assert int(out) >= 5
+
+
+def test_gen_random_at_large_n(capsys):
+    # the term count sums a binomial per width; past the sampling cap the
+    # rest of the sum cannot change what generate does
+    assert _count_terms(16000, 16000, True, 1 << 20) == 2 * 16000 + 4 * math.comb(16000, 2)
+    assert _count_terms(10, 3, False, 1 << 20) == 10 + 45 + 120
+    assert main(["gen", "--kind", "random", "--n", "16000", "--m", "1"]) == 0
+    d = parse_dnf(capsys.readouterr().out)
+    assert d.n == 16000 and d.m == 1
+
+
+@pytest.mark.parametrize("kind", ["random", "kdnf", "sets"])
+def test_gen_and_sweep_refuse_n_above_the_input_limit(kind, capsys):
+    # the file they would write could not be read back
+    n = str(MAX_INPUT_VARS + 1)
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        generate(kind, MAX_INPUT_VARS + 1, 3)
+    assert main(["gen", "--kind", kind, "--n", n, "--m", "3"]) == 3
+    algo = "setunion" if kind == "sets" else "kdnf"
+    assert main(["sweep", "--algo", algo, "--kind", kind, "--n", n, "--sizes", "3"]) == 3
+    assert "exceeds the limit" in capsys.readouterr().err
 
 
 def test_generate_api_matches_kinds():

@@ -7,17 +7,29 @@ import hypothesis.strategies as st
 from conftest import terms
 from dnfenum.core import Dnf, brute_force_models, make_term, mask_from_bits
 from dnfenum.graycode import GrayState, enum_single_term_dnf, enum_term_models
-from dnfenum.instrument import StepCounter, measure
+from dnfenum.instrument import SINK_BLOCK, StepCounter, measure
+
+
+def reflected(start: int, shifts: list[int], i: int) -> int:
+    """Model i of a walk in closed form: start xor the slots set in the
+    reflected code i ^ (i >> 1)."""
+    code = i ^ (i >> 1)
+    for j, shift in enumerate(shifts):
+        if code >> j & 1:
+            start ^= 1 << shift
+    return start
 
 
 def spell_patterns(k: int) -> list[tuple[int, ...]]:
     """Run a full walk over k slots from all zeros; slot j is bit k-1-j."""
-    g = GrayState(0, [k - 1 - j for j in range(k)])
+    shifts = [k - 1 - j for j in range(k)]
+    g = GrayState(0, shifts)
     ctr = StepCounter()
     masks = [g.mask]
     while g.remaining():
         masks.append(g.advance(ctr))
     assert ctr.n == 2 * (len(masks) - 1)
+    assert masks == [reflected(0, shifts, i) for i in range(1 << k)]
     return [tuple(mask >> (k - 1 - j) & 1 for j in range(k)) for mask in masks]
 
 
@@ -114,11 +126,14 @@ def test_single_term_dnf_requires_one_term():
 @pytest.mark.parametrize("k", [0, 1, 2, 5, 9])
 @given(data=st.data())
 def test_take_matches_repeated_advance(k, data):
+    # both against the closed form, not one against the other
     shifts = data.draw(st.permutations(range(k + 3)))[:k]
     start = data.draw(st.integers(0, (1 << (k + 3)) - 1))
+    want = [reflected(start, shifts, i) for i in range(1, 1 << k)]
     ref = GrayState(start, shifts)
     ctr = StepCounter()
-    want = [ref.advance(ctr) for _ in range(ref.remaining())]
+    assert [ref.advance(ctr) for _ in range(ref.remaining())] == want
+    assert ctr.n == 2 * len(want)
     # cut the walk at random points, possibly twice at one point
     cuts = sorted(data.draw(st.lists(st.integers(0, len(want)), max_size=6)))
     g = GrayState(start, shifts)
@@ -128,6 +143,18 @@ def test_take_matches_repeated_advance(k, data):
         assert (g.i, g.mask) == (len(got), (got or [start])[-1])
     assert got == want
     assert g.take(0) == []
+
+
+def test_runs_hand_out_the_rest_of_the_walk():
+    shifts = list(range(13))
+    g = GrayState(0b101, shifts)
+    g.take(5)
+    runs = list(g.runs(3))
+    assert [len(r.masks) for r in runs] == [SINK_BLOCK, (1 << 13) - 6 - SINK_BLOCK]
+    assert all(r.price == 3 for r in runs)
+    want = [reflected(0b101, shifts, i) for i in range(6, 1 << 13)]
+    assert [m for r in runs for m in r.masks] == want
+    assert g.remaining() == 0 and list(g.runs(3)) == []
 
 
 def test_slot_masks_are_built_on_first_reach():

@@ -214,6 +214,21 @@ def test_criterion_11_step_counts_are_pinned():
     assert stats.avg_delay_steps == pytest.approx(4.02188, rel=1e-12)
 
 
+@pytest.mark.parametrize("fn", [enum_kdnf, enum_kdnf_hybrid], ids=["kdnf", "kdnf-hybrid"])
+def test_budgeted_frame_loop_step_counts_are_pinned(fn):
+    # 591 width-3 terms over n=20: 12 outputs come while the root's builder
+    # still runs, so the budget slices between outputs are exercised
+    d = random_dnf(random.Random(7), 20, 600, min_width=3, max_width=3, signed=True)
+    assert d.m == 591
+    _, stats = measure(lambda c: fn(d, counter=c), collect=False)
+    assert stats.n_models == 1 << 20
+    assert stats.total_steps == 4276679
+    assert stats.max_delay_steps == 1694
+    assert stats.avg_delay_steps == pytest.approx(4.073663711547852, rel=1e-12)
+    assert stats.precompute_steps == 5133
+    assert stats.peak_aux_memory_estimate == 9815
+
+
 def test_frame_memory_does_not_grow_with_the_alphabet():
     # n=20000: a frame keeps shift amounts and builds a slot's single-bit
     # mask only when its Gray walk first reaches it, after 2^slot outputs.
