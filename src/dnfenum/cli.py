@@ -243,22 +243,16 @@ def _oracle_refusal(obj) -> str | None:
     return None
 
 
-def _cmd_run(argv: list[str]) -> int:
-    p = argparse.ArgumentParser(
-        prog="dnfenum",
-        description="Enumerate the models of a DNF formula (or the unions of a set family).",
-    )
-    p.add_argument("file", nargs="?", default="-", help="input file, '-' for stdin")
+def _parse_enum_args(p: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """Add the flags that run and sweep share to p, parse argv, and check them."""
     p.add_argument("--algo", required=True, choices=ALGOS)
     p.add_argument("--mode", choices=(MODE_SLOW, MODE_FAST), default=MODE_FAST,
                    help="branching strategy for --algo avg")
-    p.add_argument("--k", type=int, default=None, help="width bound for --algo kdnf")
+    p.add_argument("--k", type=int, default=None,
+                   help="width bound for --algo kdnf and kdnf-hybrid")
     p.add_argument("--lambda", dest="lam", type=float, default=LAMBDA_DEFAULT,
                    help="frame-size cutoff factor for --algo kdnf-hybrid")
-    p.add_argument("--count", action="store_true", help="print only the model count")
     p.add_argument("--limit", type=int, default=None, help="stop after this many models")
-    p.add_argument("--stats", action="store_true", help="emit a JSON stats record to stderr")
-    p.add_argument("--format", choices=("bits", "flips"), default="bits")
     p.add_argument("--check-oracle", action="store_true",
                    help="verify the output against the brute-force oracle")
     args = p.parse_args(argv)
@@ -266,6 +260,19 @@ def _cmd_run(argv: list[str]) -> int:
         p.error("--limit must be >= 0")
     if args.check_oracle and args.limit is not None:
         p.error("--check-oracle needs the full stream, not --limit")
+    return args
+
+
+def _cmd_run(argv: list[str]) -> int:
+    p = argparse.ArgumentParser(
+        prog="dnfenum",
+        description="Enumerate the models of a DNF formula (or the unions of a set family).",
+    )
+    p.add_argument("file", nargs="?", default="-", help="input file, '-' for stdin")
+    p.add_argument("--count", action="store_true", help="print only the model count")
+    p.add_argument("--stats", action="store_true", help="emit a JSON stats record to stderr")
+    p.add_argument("--format", choices=("bits", "flips"), default="bits")
+    args = _parse_enum_args(p, argv)
 
     try:
         text = _read_input(args.file)
@@ -347,27 +354,19 @@ def _cmd_sweep(argv: list[str]) -> int:
         prog="dnfenum sweep",
         description="Generate one instance per size, enumerate, and emit CSV delay stats.",
     )
-    p.add_argument("--algo", required=True, choices=ALGOS)
     p.add_argument("--kind", choices=GEN_KINDS, default=None,
                    help="instance family (default chosen from --algo)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--sizes", required=True,
                    help="comma-separated m values; empty string for a header-only CSV")
     p.add_argument("--seed", type=int, default=0, help="instance i uses seed+i")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--mode", choices=(MODE_SLOW, MODE_FAST), default=MODE_FAST)
-    p.add_argument("--lambda", dest="lam", type=float, default=LAMBDA_DEFAULT)
-    p.add_argument("--limit", type=int, default=None)
-    p.add_argument("--check-oracle", action="store_true")
     p.add_argument("-o", "--out", default="-")
-    args = p.parse_args(argv)
+    args = _parse_enum_args(p, argv)
     kind = args.kind if args.kind is not None else _default_kind(args.algo)
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     except ValueError:
         p.error(f"bad --sizes value {args.sizes!r}")
-    if args.check_oracle and args.limit is not None:
-        p.error("--check-oracle needs the full stream, not --limit")
 
     rows = []
     for i, m in enumerate(sizes):

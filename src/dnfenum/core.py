@@ -48,7 +48,7 @@ def parse_ints(tokens: list[str], lineno: int, line: str) -> list[int]:
     if _INT_TOKENS.fullmatch(" ".join(tokens)) is None:
         bad = next((t for t in tokens if _INT_TOKEN.fullmatch(t) is None), "")
         raise DnfFormatError(lineno, f"non-integer token {bad!r} in {line!r}")
-    return [int(t) for t in tokens]
+    return list(map(int, tokens))
 
 
 def lit_index(lit: int) -> int:
@@ -64,15 +64,14 @@ def lit_index(lit: int) -> int:
 
 def make_term(lits: Iterable[int]) -> Term:
     """Sort literals canonically and reject repeated or contradictory variables."""
-    out = sorted(set(lits), key=lit_index)
-    seen = set()
-    for lit in out:
-        if lit == 0:
-            raise ValueError("literal 0 is not allowed")
-        v = abs(lit)
-        if v in seen:
-            raise ValueError(f"variable {v} appears twice in one term")
-        seen.add(v)
+    # over distinct variables the canonical order is the order of abs(), with
+    # 0 first; a variable met twice sits next to its twin
+    out = sorted(set(lits), key=abs)
+    if out and out[0] == 0:
+        raise ValueError("literal 0 is not allowed")
+    if len(set(map(abs, out))) < len(out):
+        v = next(abs(a) for a, b in zip(out, out[1:]) if a == -b)
+        raise ValueError(f"variable {v} appears twice in one term")
     return tuple(out)
 
 
@@ -93,21 +92,16 @@ class Dnf:
     def __init__(self, n: int, terms: Iterable[Iterable[int]]):
         if n < 0:
             raise ValueError("n must be >= 0")
-        canon: list[Term] = []
-        seen: set[Term] = set()
+        seen: dict[Term, None] = {}  # a dict keeps the first occurrence order
         for raw in terms:
             t = make_term(raw)
-            for lit in t:
-                if abs(lit) > n:
-                    raise ValueError(f"literal {lit} out of range for n={n}")
-            if t == ():
-                canon = [()]
-                break
-            if t not in seen:
-                seen.add(t)
-                canon.append(t)
+            # canonical order puts the largest variable last
+            if t and abs(t[-1]) > n:
+                lit = next(lit for lit in t if abs(lit) > n)
+                raise ValueError(f"literal {lit} out of range for n={n}")
+            seen[t] = None
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", tuple(canon))
+        object.__setattr__(self, "terms", ((),) if () in seen else tuple(seen))
 
     @property
     def m(self) -> int:
@@ -227,62 +221,73 @@ def brute_force_models(d: Dnf) -> set[int]:
     return set(np.flatnonzero(sat).tolist())
 
 
-def parse_dnf(text: str) -> Dnf:
-    """Parse the .dnf interchange format.
+def parse_rows(text: str, kind: str, make, min_n: int = 0):
+    """Read the layout both file formats share and build ``make(n, rows)``.
 
-    Comment lines start with ``c``.  The header ``p dnf <n> <m>`` is followed
-    by m term lines, each a list of nonzero literals terminated by 0.
+    Blank lines and lines that start with ``c`` are skipped.  The first
+    other line is the header ``p <kind> <n> <m>`` with
+    ``min_n <= n <= MAX_INPUT_VARS`` and ``m >= 0``; it is followed by
+    exactly m rows, each a line of integers whose only 0 ends it.  ``make``
+    gets n and the rows without their 0s, and may refuse them with
+    ValueError, which is then reported at the first row that it refuses on
+    its own.  Every fault raises DnfFormatError with its line number.
     """
-    header: tuple[int, int] | None = None
-    terms: list[list[int]] = []
-    header_line = 0
+    header_line = 0  # line numbers start at 1, so 0 means not read yet
+    rows: list[list[int]] = []
+    linenos: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
-        if header is None:
-            parts = line.split()
-            if len(parts) != 4 or parts[0] != "p" or parts[1] != "dnf":
-                raise DnfFormatError(lineno, f"expected 'p dnf <n> <m>', got {line!r}")
+        parts = line.split()
+        if not header_line:
+            if len(parts) != 4 or parts[0] != "p" or parts[1] != kind:
+                raise DnfFormatError(lineno, f"expected 'p {kind} <n> <m>', got {line!r}")
             n, m = parse_ints(parts[2:], lineno, line)
-            if n < 1 or m < 0:
-                raise DnfFormatError(lineno, "need n >= 1 and m >= 0")
+            if n < min_n or m < 0:
+                raise DnfFormatError(lineno, f"need n >= {min_n} and m >= 0")
             if n > MAX_INPUT_VARS:
-                raise DnfFormatError(lineno, f"n exceeds the limit of {MAX_INPUT_VARS} variables")
-            header = (n, m)
+                raise DnfFormatError(lineno, f"n exceeds the limit of {MAX_INPUT_VARS}")
             header_line = lineno
             continue
-        n, m = header
-        if len(terms) >= m:
-            raise DnfFormatError(lineno, f"more than {m} term lines")
-        nums = parse_ints(line.split(), lineno, line)
-        if nums[-1] != 0:
-            raise DnfFormatError(lineno, "term line must end with 0")
-        if 0 in nums[:-1]:
-            raise DnfFormatError(lineno, "literal 0 before end of line")
-        for lit in nums[:-1]:
-            if abs(lit) > n:
-                raise DnfFormatError(lineno, f"literal {lit} out of range for n={n}")
-        try:
-            make_term(nums[:-1])
-        except ValueError as e:
-            raise DnfFormatError(lineno, str(e)) from None
-        terms.append(nums[:-1])
-    if header is None:
-        raise DnfFormatError(1, "missing 'p dnf' header")
-    if len(terms) != header[1]:
-        raise DnfFormatError(
-            header_line, f"header announces {header[1]} terms, found {len(terms)}"
-        )
-    return Dnf(header[0], terms)
+        if parts[0] == "p":
+            raise DnfFormatError(lineno, "duplicate header")
+        if len(rows) == m:
+            raise DnfFormatError(lineno, f"more rows than the {m} the header announces")
+        nums = parse_ints(parts, lineno, line)
+        if nums[-1] != 0 or 0 in nums[:-1]:
+            raise DnfFormatError(lineno, "a row must end with its only 0")
+        rows.append(nums[:-1])
+        linenos.append(lineno)
+    if not header_line:
+        raise DnfFormatError(1, f"missing 'p {kind}' header")
+    if len(rows) != m:
+        raise DnfFormatError(header_line, f"header announces {m} rows, found {len(rows)}")
+    try:
+        return make(n, rows)
+    except ValueError:
+        for lineno, row in zip(linenos, rows):
+            try:
+                make(n, [row])
+            except ValueError as e:
+                raise DnfFormatError(lineno, str(e)) from None
+        raise
+
+
+def dumps_rows(kind: str, n: int, rows: Iterable[Iterable[int]]) -> str:
+    """The text that parse_rows reads back as n and rows under ``p <kind>``."""
+    lines = [" ".join(map(str, (*row, 0))) for row in rows]
+    return "\n".join([f"p {kind} {n} {len(lines)}", *lines, ""])
+
+
+def parse_dnf(text: str) -> Dnf:
+    """Parse the .dnf format: rows of nonzero literals under ``p dnf <n> <m>``, n >= 1."""
+    return parse_rows(text, "dnf", Dnf, min_n=1)
 
 
 def dumps_dnf(d: Dnf) -> str:
     """Serialize back to the .dnf format; parse(dumps(d)) == d."""
-    lines = [f"p dnf {d.n} {d.m}"]
-    for t in d.terms:
-        lines.append(" ".join(str(lit) for lit in t) + (" 0" if t else "0"))
-    return "\n".join(lines) + "\n"
+    return dumps_rows("dnf", d.n, d.terms)
 
 
 def term_models_count(t: Term, n: int) -> int:

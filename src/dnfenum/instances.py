@@ -13,6 +13,10 @@ import random
 from .core import MAX_INPUT_VARS, Dnf, all_terms, make_term
 from .setunion import SetFamily
 
+#: all-terms is built in memory, 3^n - 1 terms: n = 12 takes seconds and
+#: about 150 MB, and each further variable triples both
+ALL_TERMS_MAX_VARS = 12
+
 
 def _count_terms(n: int, wmax: int, signed: bool, cap: int) -> int:
     """The number of distinct terms of width 1..wmax, or a count past cap."""
@@ -50,6 +54,8 @@ def generate(kind: str, n: int, m: int | None, k: int = 3, seed: int = 0):
         raise ValueError(f"n exceeds the limit of {MAX_INPUT_VARS} variables")
     rng = random.Random(seed)
     if kind == "all-terms":
+        if n > ALL_TERMS_MAX_VARS:
+            raise ValueError(f"the all-terms family is limited to n <= {ALL_TERMS_MAX_VARS}")
         want = 3**n - 1
         if m is not None and m != want:
             raise ValueError(f"the all-terms family on n={n} has exactly {want} terms")

@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 
 from .avg import _trie_dfs
-from .core import Dnf, PartialAssignment, Term, lit_index
+from .core import MAX_INPUT_VARS, Dnf, PartialAssignment, Term, lit_index
 from .graycode import GrayState
 from .instrument import Models, StepCounter
 from .trie import TermTrie
@@ -114,7 +114,12 @@ class KdnfConfig:
     @classmethod
     def for_width(cls, k: int, lam: float = LAMBDA_DEFAULT) -> "KdnfConfig":
         k = max(k, 1)
-        return cls(k=k, d=math.ceil(k ** 1.5 * 2 ** (2 * k)), A=step_constant(), lam=lam)
+        if k > MAX_INPUT_VARS:
+            raise ValueError(f"k={k} exceeds the limit of {MAX_INPUT_VARS}")
+        # d = ceil(k^1.5 * 4^k), with k^1.5 the float k**1.5 taken exactly:
+        # the product in floats would overflow from k = 506 on
+        p, q = (k**1.5).as_integer_ratio()
+        return cls(k=k, d=-((-p << 2 * k) // q), A=step_constant(), lam=lam)
 
     @classmethod
     def for_formula(cls, d: Dnf, lam: float = LAMBDA_DEFAULT) -> "KdnfConfig":
@@ -168,13 +173,10 @@ def _build_children(F: _Frame, cfg: KdnfConfig, ctr: StepCounter, n: int):
     words go into a fresh trie that dedups and tracks the new shortest
     term on the fly.
     """
-    word = F.min_word
-    prefix: dict[int, int] = {}
-    for s in word:
-        y = s // 2 + 1
-        one_y = s & 1
-        delta = dict(prefix)
-        delta[y] = 1 - one_y
+    if not F.min_word:  # a tautology frame: its Gray walk covers every model
+        return
+    term = tuple(s // 2 + 1 if s & 1 else -(s // 2 + 1) for s in F.min_word)
+    for y, delta in zip(map(abs, term), partition_assignments(term)[1]):
         child_tt = TermTrie(n, counter=ctr)
         minw = None
         min_key = None
@@ -214,7 +216,6 @@ def _build_children(F: _Frame, cfg: KdnfConfig, ctr: StepCounter, n: int):
                 _make_frame(child_tt, sub_assign, sub_unassigned, minw, cfg, ctr, n, F.path + (y,))
             )
             yield
-        prefix[y] = one_y
 
 
 def _kdnf_walk(d: Dnf, cfg: KdnfConfig | None, counter: StepCounter | None, hybrid: bool):

@@ -112,23 +112,15 @@ def minimize_monotone(md: MonotoneDnf, *, counter: StepCounter | None = None) ->
     return MonotoneDnf(Dnf(d.n, terms), minimized=True)
 
 
-class _RsNode:
-    __slots__ = ("mask", "last", "nxt")
-
-    def __init__(self, mask: int, last: int, nxt):
-        self.mask = mask
-        self.last = last
-        self.nxt = nxt
-
-
 def enum_monotone_rs(md, *, counter: StepCounter | None = None):
     """Reverse search over per-term subset lattices with a model trie.
 
     For each term in order, walks the tree of free-variable subsets rooted
     at the term's characteristic model.  A successor already present in the
     model trie is discarded together with its whole subtree (its models all
-    belong to earlier terms); fresh successors are threaded into a pointer
-    chain so the walk never revisits a node.  Every visit outputs.
+    belong to earlier terms); fresh successors are pushed on a stack in
+    reverse, so the walk is depth first in successor order and never
+    revisits a node.  Every visit outputs.
     """
     ctr = counter if counter is not None else StepCounter()
     md = minimize_monotone(_as_mono(md), counter=ctr)
@@ -145,27 +137,21 @@ def enum_monotone_rs(md, *, counter: StepCounter | None = None):
             free = [v for v in range(1, n + 1) if v not in inside]
             bits = [1 << (n - v) for v in free]
             ctr.n += n + 1
-            cur = _RsNode(base, -1, None)
-            while cur is not None:
-                mask = cur.mask
+            stack = [(base, -1)]
+            while stack:
+                mask, last = stack.pop()
                 fresh = model_trie.insert(bits_word(mask, n))
                 if not fresh:
                     raise RuntimeError("reverse-search visit repeated a model")
                 ctr.charge_output(mask, n)
                 yield mask
                 succs = []
-                for j in range(cur.last + 1, len(free)):
+                for j in range(last + 1, len(free)):
                     cand = mask | bits[j]
                     ctr.n += 1
                     if model_trie.search(bits_word(cand, n)) is None:
-                        succs.append(_RsNode(cand, j, None))
-                for a, b in zip(succs, succs[1:]):
-                    a.nxt = b
-                if succs:
-                    succs[-1].nxt = cur.nxt
-                    cur = succs[0]
-                else:
-                    cur = cur.nxt
+                        succs.append((cand, j))
+                stack.extend(reversed(succs))
 
     return gen()
 

@@ -29,9 +29,10 @@ replaced.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import ge
 from typing import Iterable, Mapping
 
-from .core import MAX_INPUT_VARS, DnfFormatError, parse_ints
+from .core import dumps_rows, parse_rows
 from .instrument import StepCounter
 from .trie import Trie
 
@@ -74,54 +75,20 @@ class SetFamily:
         return out
 
 
+def _ascending_family(n: int, rows: list[list[int]]) -> SetFamily:
+    for row in rows:
+        if any(map(ge, row, row[1:])):
+            raise ValueError("elements must be strictly ascending")
+    return SetFamily(n, rows)
+
+
 def parse_sets(text: str) -> SetFamily:
-    """Parse the `p sets <n> <m>` format: one set per line, 0-terminated."""
-    n = None
-    m = None
-    header_line = 0
-    sets: list[tuple[int, ...]] = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
-            if n is not None:
-                raise DnfFormatError(ln, "duplicate header")
-            fields = line.split()
-            if len(fields) != 4 or fields[1] != "sets":
-                raise DnfFormatError(ln, f"expected 'p sets <n> <m>', got {line!r}")
-            n, m = parse_ints(fields[2:], ln, line)
-            if n < 0 or m < 0:
-                raise DnfFormatError(ln, "n and m must be non-negative")
-            if n > MAX_INPUT_VARS:
-                raise DnfFormatError(ln, f"n exceeds the limit of {MAX_INPUT_VARS} elements")
-            header_line = ln
-            continue
-        if n is None:
-            raise DnfFormatError(ln, "set line before 'p sets' header")
-        nums = parse_ints(line.split(), ln, line)
-        if nums[-1] != 0:
-            raise DnfFormatError(ln, "set line must end with 0")
-        elems = nums[:-1]
-        for a, b in zip(elems, elems[1:]):
-            if b <= a:
-                raise DnfFormatError(ln, "elements must be strictly ascending")
-        for e in elems:
-            if not 1 <= e <= n:
-                raise DnfFormatError(ln, f"element {e} out of range 1..{n}")
-        sets.append(tuple(elems))
-    if n is None:
-        raise DnfFormatError(1, "missing 'p sets' header")
-    if len(sets) != m:
-        raise DnfFormatError(header_line, f"header announces {m} sets, found {len(sets)}")
-    return SetFamily(n, sets)
+    """Parse the .sets format: rows of strictly ascending elements under ``p sets <n> <m>``."""
+    return parse_rows(text, "sets", _ascending_family)
 
 
 def dumps_sets(fam: SetFamily) -> str:
-    lines = [f"p sets {fam.n} {fam.m}"]
-    for s in fam.sets:
-        lines.append(" ".join(str(e) for e in s) + (" 0" if s else "0"))
-    return "\n".join(lines) + "\n"
+    return dumps_rows("sets", fam.n, fam.sets)
 
 
 def brute_force_unions(fam: SetFamily) -> list[int]:

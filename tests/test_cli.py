@@ -347,6 +347,58 @@ def test_dnf_algo_rejects_sets_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+# faults of the layout both formats share: each exits 3 at the line at fault
+LAYOUT_FAULTS = {
+    "surplus-row": ("p {kind} 3 1\n1 0\n2 0\n", 3),
+    "missing-row": ("c x\np {kind} 3 2\n1 0\n", 2),  # reported at the header
+    "row-before-header": ("1 0\n", 1),
+    "no-header": ("c nothing\n", 1),
+    "short-header": ("p {kind} 3\n", 1),
+    "negative-m": ("p {kind} 3 -1\n", 1),
+    "duplicate-header": ("p {kind} 3 1\np {kind} 3 1\n1 0\n", 2),
+    "no-terminator": ("p {kind} 3 1\n1 2\n", 2),
+    "inner-0": ("p {kind} 3 1\n1 0 2 0\n", 2),
+    "non-integer": ("p {kind} 3 1\n1 x 0\n", 2),
+    "out-of-range-late": ("p {kind} 3 2\n1 0\n\nc gap\n4 0\n", 5),
+    "n-above-cap": ("p {kind} 65537 0\n", 1),
+}
+
+
+@pytest.mark.parametrize("kind,algo", [("dnf", "avg"), ("sets", "setunion")])
+@pytest.mark.parametrize("fault", LAYOUT_FAULTS)
+def test_layout_faults_exit_3_at_their_line(tmp_path, capsys, kind, algo, fault):
+    text, lineno = LAYOUT_FAULTS[fault]
+    f = tmp_path / f"in.{kind}"
+    f.write_text(text.format(kind=kind))
+    assert main(["--algo", algo, "--count", str(f)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"dnfenum: line {lineno}: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("sweep", [False, True], ids=["run", "sweep"])
+def test_negative_limit_is_a_usage_error(example_file, sweep, capsys):
+    args = ["sweep", "--n", "6", "--sizes", "4"] if sweep else [example_file]
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--algo", "avg", "--limit", "-1"])
+    assert exc.value.code == 2
+    assert "--limit must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algo", ["kdnf", "kdnf-hybrid"])
+def test_kdnf_takes_a_term_of_any_width(tmp_path, algo, capsys):
+    # the budget d = ceil(k^1.5 * 4^k) overflowed a float from k = 506 on
+    f = tmp_path / "wide.dnf"
+    f.write_text("p dnf 600 1\n" + " ".join(map(str, range(1, 601))) + " 0\n")
+    assert main(["--algo", algo, str(f)]) == 0
+    assert capsys.readouterr().out == "1" * 600 + "\n"
+    assert main(["sweep", "--algo", algo, "--n", "600", "--sizes", "1", "--k", "600",
+                 "--limit", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("1,600,1,")
+    assert main(["--algo", algo, "--k", str(MAX_INPUT_VARS + 1), str(f)]) == 3
+    assert "exceeds the limit" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("sweep", [False, True], ids=["run", "sweep"])
 def test_check_oracle_refuses_a_formula_over_24_variables(tmp_path, sweep, capsys):
     if sweep:
@@ -466,6 +518,16 @@ def test_gen_and_sweep_refuse_n_above_the_input_limit(kind, capsys):
     algo = "setunion" if kind == "sets" else "kdnf"
     assert main(["sweep", "--algo", algo, "--kind", kind, "--n", n, "--sizes", "3"]) == 3
     assert "exceeds the limit" in capsys.readouterr().err
+
+
+def test_gen_and_sweep_refuse_all_terms_above_its_cap(capsys):
+    # the family has 3^n - 1 terms, all built in memory
+    with pytest.raises(ValueError, match="limited to n <= 12"):
+        generate("all-terms", 13, None)
+    assert main(["gen", "--kind", "all-terms", "--n", "13"]) == 3
+    assert main(["sweep", "--algo", "avg", "--kind", "all-terms", "--n", "13",
+                 "--sizes", str(3**13 - 1)]) == 3
+    assert capsys.readouterr().err.count("limited to n <= 12") == 2
 
 
 def test_generate_api_matches_kinds():

@@ -15,6 +15,7 @@ from dnfenum.core import (
     brute_force_models,
     compatible,
     dumps_dnf,
+    lit_index,
     make_term,
     mask_from_bits,
     parse_dnf,
@@ -111,6 +112,16 @@ def test_empty_term_absorbs_at_construction():
     assert Dnf(2, ((), (1,), (-2,))).terms == ((),)
 
 
+def test_terms_after_the_empty_term_are_still_checked():
+    with pytest.raises(ValueError, match="variable 1 appears twice"):
+        Dnf(2, [(), (1, -1)])
+    with pytest.raises(ValueError, match="literal 3 out of range"):
+        Dnf(2, [(), (3,)])
+    with pytest.raises(DnfFormatError) as ei:
+        parse_dnf("p dnf 2 2\n0\n1 -1 0\n")
+    assert ei.value.lineno == 3
+
+
 def test_brute_force_example():
     d = parse_dnf(EXAMPLE)
     got = {bits_from_mask(m, 3) for m in brute_force_models(d)}
@@ -192,3 +203,22 @@ def test_make_term_canonical_order():
         make_term([1, -1])
     with pytest.raises(ValueError):
         make_term([0])
+
+
+@given(st.lists(st.integers(-6, 6), max_size=9))
+def test_make_term_matches_a_scan_in_literal_order(lits):
+    # reference: sort by lit_index, then refuse a 0 or the first repeated variable
+    ref = sorted(set(lits), key=lit_index)
+    vs = [abs(lit) for lit in ref]
+    twice = [v for i, v in enumerate(vs) if v in vs[:i]]
+    if 0 in ref:
+        expect = "literal 0 is not allowed"
+    elif twice:
+        expect = f"variable {twice[0]} appears twice in one term"
+    else:
+        expect = tuple(ref)
+    try:
+        got = make_term(lits)
+    except ValueError as e:
+        got = str(e)
+    assert got == expect

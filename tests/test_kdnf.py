@@ -71,6 +71,12 @@ def test_config_budget_values():
     assert KdnfConfig.for_width(3).A == step_constant()
 
 
+def test_budget_matches_the_float_formula_wherever_that_fits():
+    # the float product overflows from k = 506 on; the exact one does not
+    for k in range(1, 506):
+        assert KdnfConfig.for_width(k).d == math.ceil(k**1.5 * 2 ** (2 * k))
+
+
 def test_step_constant_is_stable():
     assert step_constant() == step_constant() >= 1
 
