@@ -23,7 +23,6 @@ from .core import (
     parse_dnf,
     restrict,
     satisfies,
-    term_models_count,
 )
 from .graycode import GrayState, enum_single_term_dnf, enum_term_models
 from .instances import generate
@@ -42,7 +41,6 @@ from .setunion import (
     brute_force_unions,
     dumps_sets,
     enum_unions,
-    extendable_union,
     parse_sets,
 )
 from .trie import TermTrie, Trie
@@ -82,7 +80,6 @@ __all__ = [
     "enum_union_ordered",
     "enum_union_priority",
     "enum_unions",
-    "extendable_union",
     "generate",
     "lit_index",
     "make_term",
@@ -96,5 +93,4 @@ __all__ = [
     "restrict",
     "satisfies",
     "step_constant",
-    "term_models_count",
 ]

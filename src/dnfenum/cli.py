@@ -11,12 +11,13 @@ Three entry forms share one executable, the ``dnfenum`` console script;
 * ``dnfenum sweep --algo NAME --n N --sizes M1,M2,...`` — run one generated
   instance per size and emit a CSV of delay statistics.
 
-Exit codes: 0 success, 2 usage error, 3 unreadable or malformed input
-(a header n, or a gen/sweep --n, above ``MAX_INPUT_VARS`` = 2^16 counts
-as malformed) or an unwritable output file, 4 oracle mismatch under
-``--check-oracle``, 141 stdout closed by its reader (as in ``| head``;
-128 + SIGPIPE, the status a shell reports for a writer killed by that
-signal).  The last ends the run quietly, with no traceback.
+Exit codes: 0 success, 2 usage error, 3 unreadable or malformed input (a
+header n, or a gen/sweep --n, above ``MAX_INPUT_VARS`` = 2^16 counts as
+malformed), an input the chosen algorithm refuses (``monotone-rs`` above
+``RS_MAX_VARS`` = 4096 variables) or an unwritable output file, 4 oracle
+mismatch under ``--check-oracle``, 141 stdout closed by its reader (as in
+``| head``; 128 + SIGPIPE, the status a shell reports for a writer killed
+by that signal).  The last ends the run quietly, with no traceback.
 
 Output formats: ``bits`` prints one full bit string per model; ``flips``
 prints the first model as a bit string and every later model as the
@@ -54,7 +55,7 @@ from .core import (
 from .graycode import enum_single_term_dnf
 from .instances import generate
 from .instrument import StepCounter, measure
-from .kdnf import LAMBDA_DEFAULT, KdnfConfig, enum_kdnf, enum_kdnf_hybrid
+from .kdnf import KdnfConfig, enum_kdnf, enum_kdnf_hybrid
 from .monotone import (
     enum_monotone_avg,
     enum_monotone_log,
@@ -92,6 +93,10 @@ EXIT_PIPE = 141
 
 #: brute-forcing set unions doubles per set; keep the oracle under a second
 ORACLE_MAX_SETS = 20
+
+#: monotone-rs does about n^2 steps per output and keeps every model; at
+#: n = 4096 its second output alone takes 8.4M steps
+RS_MAX_VARS = 4096
 
 
 # -- enumerate ---------------------------------------------------------------
@@ -187,11 +192,13 @@ def _make_factory(args, obj) -> Callable[[StepCounter], Iterator[int]]:
         wmax = max((len(t) for t in d.terms), default=1)
         if args.k is not None and args.k < wmax:
             raise ValueError(f"--k {args.k} is below the maximum term width {wmax}")
-        cfg = KdnfConfig.for_width(args.k if args.k is not None else wmax, lam=args.lam)
+        cfg = KdnfConfig.for_width(args.k if args.k is not None else wmax)
         fn = enum_kdnf if algo == "kdnf" else enum_kdnf_hybrid
         return lambda ctr: fn(d, cfg, counter=ctr)
     if algo == "avg":
         return lambda ctr: enum_avg(d, args.mode, counter=ctr)
+    if algo == "monotone-rs" and d.n > RS_MAX_VARS:
+        raise ValueError(f"--algo monotone-rs needs n <= {RS_MAX_VARS}")
     # the monotone family accepts any unate formula: single-polarity
     # negative variables are flipped on the way in and the models on the
     # way out, which changes neither deltas nor step counts
@@ -250,8 +257,6 @@ def _parse_enum_args(p: argparse.ArgumentParser, argv: list[str]) -> argparse.Na
                    help="branching strategy for --algo avg")
     p.add_argument("--k", type=int, default=None,
                    help="width bound for --algo kdnf and kdnf-hybrid")
-    p.add_argument("--lambda", dest="lam", type=float, default=LAMBDA_DEFAULT,
-                   help="frame-size cutoff factor for --algo kdnf-hybrid")
     p.add_argument("--limit", type=int, default=None, help="stop after this many models")
     p.add_argument("--check-oracle", action="store_true",
                    help="verify the output against the brute-force oracle")

@@ -127,9 +127,6 @@ class Dnf:
             out.append((pos, neg))
         return tuple(out)
 
-    def is_tautology(self) -> bool:
-        return self.terms == ((),)
-
     def __repr__(self) -> str:
         return f"Dnf(n={self.n}, terms={list(self.terms)!r})"
 
@@ -288,11 +285,6 @@ def parse_dnf(text: str) -> Dnf:
 def dumps_dnf(d: Dnf) -> str:
     """Serialize back to the .dnf format; parse(dumps(d)) == d."""
     return dumps_rows("dnf", d.n, d.terms)
-
-
-def term_models_count(t: Term, n: int) -> int:
-    """Number of assignments satisfying a single term."""
-    return 1 << (n - len(t))
 
 
 def all_terms(n: int) -> Iterator[Term]:

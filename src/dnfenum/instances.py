@@ -27,6 +27,19 @@ def _count_terms(n: int, wmax: int, signed: bool, cap: int) -> int:
     return total
 
 
+def _distinct(rng: random.Random, m: int, total: int, what: str, pool, draw) -> list:
+    """m distinct draws: a sample of pool() if m is at least a third of a
+    pool of at most 2^20 objects, else draw() until m draws are distinct."""
+    if m > total:
+        raise ValueError(f"m={m} exceeds the number of distinct {what} ({total})")
+    if 3 * m >= total and total <= 1 << 20:
+        return rng.sample(pool(), m)
+    seen: dict = {}  # a dict keeps the first draw's order
+    while len(seen) < m:
+        seen[draw()] = None
+    return list(seen)
+
+
 def _all_candidate_terms(n: int, wmax: int, signed: bool) -> list[tuple[int, ...]]:
     out = []
     for w in range(1, wmax + 1):
@@ -63,20 +76,12 @@ def generate(kind: str, n: int, m: int | None, k: int = 3, seed: int = 0):
     if m is None or m < 0:
         raise ValueError(f"kind {kind!r} needs m >= 0")
     if kind == "sets":
-        total = 1 << n
-        if m > total:
-            raise ValueError(f"m={m} exceeds the number of distinct sets ({total})")
-        if 3 * m >= total and total <= 1 << 20:
-            pool = [tuple(e for e in range(1, n + 1) if mk >> (n - e) & 1) for mk in range(total)]
-            return SetFamily(n, rng.sample(pool, m))
-        seen = set()
-        out = []
-        while len(out) < m:
-            s = tuple(e for e in range(1, n + 1) if rng.random() < 0.5)
-            if s not in seen:
-                seen.add(s)
-                out.append(s)
-        return SetFamily(n, out)
+        return SetFamily(n, _distinct(
+            rng, m, 1 << n, "sets",
+            lambda: [tuple(e for e in range(1, n + 1) if mk >> (n - e) & 1)
+                     for mk in range(1 << n)],
+            lambda: tuple(e for e in range(1, n + 1) if rng.random() < 0.5),
+        ))
     if kind == "random":
         wmax, signed = n, True
     elif kind == "monotone":
@@ -87,18 +92,12 @@ def generate(kind: str, n: int, m: int | None, k: int = 3, seed: int = 0):
         wmax, signed = min(k, n), True
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    total = _count_terms(n, wmax, signed, max(3 * m, 1 << 20))
-    if m > total:
-        raise ValueError(f"m={m} exceeds the number of distinct terms ({total})")
-    if 3 * m >= total and total <= 1 << 20:
-        return Dnf(n, rng.sample(_all_candidate_terms(n, wmax, signed), m))
-    seen = set()
-    out = []
-    while len(out) < m:
-        w = rng.randint(1, wmax)
-        vs = rng.sample(range(1, n + 1), w)
-        t = make_term(v if not signed or rng.random() < 0.5 else -v for v in vs)
-        if t not in seen:
-            seen.add(t)
-            out.append(t)
-    return Dnf(n, out)
+
+    def draw():
+        vs = rng.sample(range(1, n + 1), rng.randint(1, wmax))
+        return make_term(v if not signed or rng.random() < 0.5 else -v for v in vs)
+
+    return Dnf(n, _distinct(
+        rng, m, _count_terms(n, wmax, signed, max(3 * m, 1 << 20)), "terms",
+        lambda: _all_candidate_terms(n, wmax, signed), draw,
+    ))

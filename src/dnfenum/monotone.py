@@ -43,14 +43,6 @@ class MonotoneDnf:
                 if lit < 0:
                     raise ValueError(f"literal {lit} is negative; formula is not monotone")
 
-    @property
-    def n(self) -> int:
-        return self.dnf.n
-
-    @property
-    def m(self) -> int:
-        return self.dnf.m
-
 
 def _as_mono(d) -> MonotoneDnf:
     if isinstance(d, MonotoneDnf):

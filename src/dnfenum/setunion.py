@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import ge
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .core import dumps_rows, parse_rows
 from .instrument import StepCounter
@@ -102,33 +102,6 @@ def brute_force_unions(fam: SetFamily) -> list[int]:
                 u |= masks[i]
         out.add(u)
     return sorted(out)
-
-
-def extendable_union(fam: SetFamily, tau: Mapping[int, int]) -> bool:
-    """Can a union of a non-empty subfamily agree with the partial choice?
-
-    With U the union of all sets avoiding every element ruled out by tau,
-    this holds iff U covers the ruled-in elements and U is non-empty — or
-    nothing is ruled in and the family contains the empty set.
-    """
-    n = fam.n
-    zeros = 0
-    ones = 0
-    for e, b in tau.items():
-        if not 1 <= e <= n:
-            raise ValueError(f"element {e} out of range 1..{n}")
-        if b:
-            ones |= 1 << (n - e)
-        else:
-            zeros |= 1 << (n - e)
-    u = 0
-    has_empty = False
-    for mk in fam.masks():
-        if mk & zeros == 0:
-            u |= mk
-            if mk == 0:
-                has_empty = True
-    return ones & ~u == 0 and (u != 0 or (ones == 0 and has_empty))
 
 
 def enum_unions(fam: SetFamily, *, counter: StepCounter | None = None):

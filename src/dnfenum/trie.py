@@ -481,10 +481,6 @@ class TermTrie(Trie):
             tt.insert(tuple(lit_index(lit) for lit in t))
         return tt
 
-    @property
-    def m(self) -> int:
-        return self.root.count
-
     def decode(self) -> list[Term]:
         """The current word set as canonical terms, sorted in trie order."""
         out = []

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -385,6 +386,37 @@ def test_negative_limit_is_a_usage_error(example_file, sweep, capsys):
     assert "--limit must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sweep", [False, True], ids=["run", "sweep"])
+def test_lambda_is_not_a_flag(example_file, sweep, capsys):
+    args = ["sweep", "--n", "6", "--sizes", "4"] if sweep else [example_file]
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--algo", "kdnf-hybrid", "--lambda", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --lambda" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sweep", [False, True], ids=["run", "sweep"])
+def test_monotone_rs_refuses_n_above_4096(tmp_path, sweep, capsys):
+    # about n^2 steps an output: at n = 4096 the second output takes seconds
+    if sweep:
+        args = ["sweep", "--kind", "monotone", "--n", "4097", "--sizes", "1"]
+    else:
+        f = tmp_path / "wide.dnf"
+        f.write_text("p dnf 4097 1\n1 -3 0\n")
+        args = [str(f)]
+    assert main([*args, "--algo", "monotone-rs"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--algo monotone-rs needs n <= 4096" in err
+
+
+def test_monotone_rs_runs_at_n_4096(tmp_path, capsys):
+    f = tmp_path / "cap.dnf"
+    f.write_text("p dnf 4096 1\n1 -3 0\n")
+    assert main(["--algo", "monotone-rs", "--limit", "1", str(f)]) == 0
+    assert capsys.readouterr().out == "10" + "0" * 4094 + "\n"
+
+
 @pytest.mark.parametrize("algo", ["kdnf", "kdnf-hybrid"])
 def test_kdnf_takes_a_term_of_any_width(tmp_path, algo, capsys):
     # the budget d = ceil(k^1.5 * 4^k) overflowed a float from k = 506 on
@@ -539,6 +571,48 @@ def test_generate_api_matches_kinds():
         generate("random", 6, None)
     with pytest.raises(ValueError):
         generate("bogus", 6, 4)
+
+
+# (kind, n, m, k): draws of at least a third of a small pool sample the
+# pool, the rest redraw until m are distinct
+GENERATE_PINS = [
+    ("random", 3, 5, 3),  # 26 terms: redraw
+    ("random", 3, 20, 3),  # pool
+    ("random", 3, 26, 3),  # the whole pool
+    ("random", 8, 30, 3),  # redraw
+    ("monotone", 4, 3, 3),  # 15 terms: redraw
+    ("monotone", 4, 10, 3),  # pool
+    ("monotone", 10, 40, 3),  # redraw
+    ("kdnf", 5, 10, 2),  # 50 terms: redraw
+    ("kdnf", 5, 30, 2),  # pool
+    ("kdnf", 40, 100, 3),  # redraw
+    ("sets", 4, 3, 3),  # 16 sets: redraw
+    ("sets", 4, 10, 3),  # pool
+    ("sets", 12, 50, 3),  # redraw
+    ("sets", 0, 1, 3),  # the one set of an empty ground set
+    ("random", 3, 0, 3),  # nothing to draw
+]
+GENERATE_PIN_MD5 = "c5a393a0e15cc202d6ffb1f0fe39fdcc"
+
+
+def test_generate_output_is_pinned():
+    texts = []
+    for kind, n, m, k in GENERATE_PINS:
+        for seed in (0, 1, 7):
+            obj = generate(kind, n, m, k=k, seed=seed)
+            texts.append(dumps_sets(obj) if kind == "sets" else dumps_dnf(obj))
+    assert hashlib.md5("--\n".join(texts).encode()).hexdigest() == GENERATE_PIN_MD5
+
+
+@pytest.mark.parametrize("kind,n,m,k,total", [
+    ("random", 3, 27, 3, 26),
+    ("monotone", 4, 16, 3, 15),
+    ("kdnf", 5, 51, 2, 50),
+    ("sets", 4, 17, 3, 16),
+])
+def test_generate_refuses_more_draws_than_distinct_objects(kind, n, m, k, total):
+    with pytest.raises(ValueError, match=rf"m={m} exceeds the number of distinct \w+ \({total}\)"):
+        generate(kind, n, m, k=k)
 
 
 # -- sweep ---------------------------------------------------------------------

@@ -34,7 +34,7 @@ def test_monotone_dnf_rejects_negative_literals():
     with pytest.raises(ValueError):
         MonotoneDnf(Dnf(2, ((1, -2),)))
     md = MonotoneDnf(Dnf(2, ((1, 2),)))
-    assert md.n == 2 and md.m == 1
+    assert md.dnf.n == 2 and md.dnf.m == 1
 
 
 def test_normalize_unate_flips_negative_only_variables():

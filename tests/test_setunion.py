@@ -15,7 +15,6 @@ from dnfenum.setunion import (
     brute_force_unions,
     dumps_sets,
     enum_unions,
-    extendable_union,
     parse_sets,
 )
 
@@ -72,17 +71,6 @@ def test_parse_accepts_n_at_the_cap():
     assert fam.n == MAX_INPUT_VARS and fam.sets == ((1, MAX_INPUT_VARS),)
 
 
-def test_extendable_union_examples():
-    fam = SetFamily(2, [(1,), (2,)])
-    assert extendable_union(fam, {1: 1})
-    assert extendable_union(fam, {1: 1, 2: 0})
-    glued = SetFamily(2, [(1, 2)])
-    assert not extendable_union(glued, {1: 1, 2: 0})
-    assert not extendable_union(glued, {1: 0, 2: 0})
-    with pytest.raises(ValueError):
-        extendable_union(fam, {3: 1})
-
-
 def test_empty_set_convention():
     # the empty union is a target exactly when the empty set is in the family
     with_empty = SetFamily(2, [(1,), ()])
@@ -90,8 +78,6 @@ def test_empty_set_convention():
     assert brute_force_unions(with_empty)[0] == 0
     without = SetFamily(2, [(1,)])
     assert 0 not in set(enum_unions(without))
-    assert extendable_union(with_empty, {1: 0, 2: 0})
-    assert not extendable_union(without, {1: 0, 2: 0})
 
 
 def test_only_empty_set():
