@@ -58,16 +58,15 @@ def _trie_dfs(
         if tt.root.count == 0:
             return
         mask = base_mask
-        if L == 0:
-            ctr.charge_output(mask, n)
-            yield mask
-            return
         counts: list = [None] * L
-        chosen = [0] * L
         tokens: list = [None] * L
         pos, trying = 0, 0
         while True:
-            if trying == 0 and counts[pos] is None:
+            if pos == L:
+                ctr.charge_output(mask, n)
+                yield mask
+                trying = 2
+            elif trying == 0:
                 if node_hook is not None:
                     sub = node_hook(tt, active, pos, mask)
                     if sub is not None:
@@ -97,27 +96,18 @@ def _trie_dfs(
                 if trying:
                     mask |= 1 << (n - v)
                 tokens[pos] = token
-                chosen[pos] = trying
                 pos += 1
-                if pos == L:
-                    ctr.charge_output(mask, n)
-                    yield mask
-                    pos -= 1
-                    tt.undo(tokens[pos])
-                    if chosen[pos]:
-                        mask &= ~(1 << (n - active[pos]))
-                    trying = chosen[pos] + 1
-                    continue
                 trying = 0
                 continue
-            counts[pos] = None
+            # a leaf, or a node whose branches are done: back up one level;
+            # the mask's bit there tells which branch ran
             pos -= 1
             if pos < 0:
                 return
             tt.undo(tokens[pos])
-            if chosen[pos]:
-                mask &= ~(1 << (n - active[pos]))
-            trying = chosen[pos] + 1
+            bit = 1 << (n - active[pos])
+            trying = 2 if mask & bit else 1
+            mask &= ~bit
 
     return gen()
 

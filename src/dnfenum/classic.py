@@ -58,7 +58,7 @@ def enum_union_priority(d: Dnf, *, counter: StepCounter | None = None):
                 ctr.n += probes + 1
                 if owned:
                     yield cand
-                if w.i < w.total - 1:
+                if w.remaining():
                     nxt_live.append(i)
             live = nxt_live
 
@@ -152,7 +152,6 @@ def enum_flashlight(d: Dnf, *, counter: StepCounter | None = None):
             return
         c = m  # terms not yet falsified
         mask = 0
-        chosen = [0] * (n + 1)
         v, trying = 1, 0
 
         while True:
@@ -170,7 +169,6 @@ def enum_flashlight(d: Dnf, *, counter: StepCounter | None = None):
                         yield mask
                         ctr.n += 1
                     else:
-                        chosen[v] = trying
                         v += 1
                         trying = 0
                         continue
@@ -187,7 +185,8 @@ def enum_flashlight(d: Dnf, *, counter: StepCounter | None = None):
             v -= 1
             if v == 0:
                 return
-            b = chosen[v]
+            # the mask's bit on v tells which branch ran
+            b = mask >> (n - v) & 1
             lst = occ1[v] if b else occ0[v]
             for t in lst:
                 fcount[t] -= 1

@@ -208,17 +208,12 @@ def _make_factory(args, obj) -> Callable[[StepCounter], Iterator[int]]:
         "monotone-avg": enum_monotone_avg,
         "monotone-log": enum_monotone_log,
     }[algo]
-    if not flip:
-        return lambda ctr: fn(md, counter=ctr)
-
-    def factory(ctr):
-        gen = fn(md, counter=ctr)
-        return (mask ^ flip for mask in gen)
-
-    return factory
+    # flip may be 0.  The generator expression calls fn at once, so the
+    # enumerator's setup is still counted as precompute
+    return lambda ctr: (mask ^ flip for mask in fn(md, counter=ctr))
 
 
-def _check_against_oracle(obj, models: list[int], stream=sys.stderr) -> bool:
+def _check_against_oracle(obj, models: list[int]) -> bool:
     if isinstance(obj, SetFamily):
         expect = set(brute_force_unions(obj))
         what = "unions"
@@ -227,14 +222,14 @@ def _check_against_oracle(obj, models: list[int], stream=sys.stderr) -> bool:
         what = "models"
     got = set(models)
     if len(models) != len(got):
-        print(f"dnfenum: oracle mismatch: {len(models) - len(got)} duplicate {what}", file=stream)
+        print(f"dnfenum: oracle mismatch: {len(models) - len(got)} duplicate {what}", file=sys.stderr)
         return False
     if got != expect:
         extra = len(got - expect)
         missing = len(expect - got)
         print(
             f"dnfenum: oracle mismatch: {missing} missing and {extra} spurious {what}",
-            file=stream,
+            file=sys.stderr,
         )
         return False
     return True

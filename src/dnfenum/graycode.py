@@ -33,7 +33,7 @@ class GrayState:
     budgeted enumerators suspend one walk, do other work, and resume it.
     """
 
-    __slots__ = ("mask", "shifts", "bits", "i", "total")
+    __slots__ = ("mask", "shifts", "bits", "i")
 
     def __init__(self, start_mask: int, shifts: list[int]):
         self.mask = start_mask
@@ -41,10 +41,9 @@ class GrayState:
         # bits[j] == 1 << shifts[j], for the slots reached so far
         self.bits: list[int] = []
         self.i = 0
-        self.total = 1 << len(shifts)
 
     def remaining(self) -> int:
-        return self.total - 1 - self.i
+        return (1 << len(self.shifts)) - 1 - self.i
 
     def take(self, k: int) -> list[int]:
         """The next k models (k <= remaining()), with no step charged: the

@@ -162,9 +162,7 @@ def measure(
     items = gen.items if type(gen) is Models else gen
     run_t = Run
     models: list[int] = []
-    # the models not yet handed on; it holds SINK_BLOCK of them at flush_at
-    chunk: list[int] = []
-    flush_at = SINK_BLOCK
+    chunk: list[int] = []  # the models not yet handed on
     n_models = 0
     prev = pre
     max_delay = 0
@@ -201,10 +199,9 @@ def measure(
             n_models += 1
             chunk.append(mask)
         # a run adds at most SINK_BLOCK masks, so at most one block is full
-        if n_models >= flush_at:
+        if len(chunk) >= SINK_BLOCK:
             block = chunk[:SINK_BLOCK]
             del chunk[:SINK_BLOCK]
-            flush_at += SINK_BLOCK
             if collect:
                 models += block
             if sink is not None:

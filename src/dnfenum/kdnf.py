@@ -136,8 +136,7 @@ def _build_children(F: _Frame, cfg: KdnfConfig, ctr: StepCounter, n: int):
     term = tuple(s // 2 + 1 if s & 1 else -(s // 2 + 1) for s in F.min_word)
     for y, delta in zip(map(abs, term), partition_assignments(term)[1]):
         child_tt = TermTrie(n, counter=ctr)
-        minw = None
-        min_key = None
+        min_key = None  # (width, word) of the shortest term so far
         for w in F.tt.iter_words():
             keep = True
             out = []
@@ -153,15 +152,16 @@ def _build_children(F: _Frame, cfg: KdnfConfig, ctr: StepCounter, n: int):
                 tw = tuple(out)
                 if tw == ():
                     # fully satisfied term: the block is a tautology
+                    child_tt.release()
                     child_tt = TermTrie(n, counter=ctr)
                     child_tt.insert(())
-                    minw, min_key = (), (0, ())
+                    min_key = (0, ())
                     yield
                     break
                 if child_tt.insert(tw):
                     key = (len(tw), tw)
                     if min_key is None or key < min_key:
-                        min_key, minw = key, tw
+                        min_key = key
             yield
         if child_tt.root.count:
             sub_unassigned = tuple(u for u in F.unassigned if u not in delta)
@@ -171,9 +171,11 @@ def _build_children(F: _Frame, cfg: KdnfConfig, ctr: StepCounter, n: int):
                     sub_assign |= 1 << (n - v)
             ctr.n += len(F.unassigned) + len(delta)
             F.children.append(
-                _make_frame(child_tt, sub_assign, sub_unassigned, minw, cfg, ctr, n, F.path + (y,))
+                _make_frame(child_tt, sub_assign, sub_unassigned, min_key[1], cfg, ctr, n, F.path + (y,))
             )
             yield
+        else:
+            child_tt.release()  # no term survives: the block has no models
 
 
 def _kdnf_walk(d: Dnf, cfg: KdnfConfig | None, counter: StepCounter | None, hybrid: bool):
@@ -228,6 +230,7 @@ def _kdnf_walk(d: Dnf, cfg: KdnfConfig | None, counter: StepCounter | None, hybr
                 for _ in builder:  # what is left if the walk ran out first
                     pass
             stack.pop()
+            F.tt.release()
             stack.extend(reversed(F.children))
 
     return Models(gen(), ctr), stack

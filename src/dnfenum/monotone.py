@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 from .avg import MODE_FAST, _trie_dfs, enum_avg
 from .core import Dnf, Term, bits_word
+from .graycode import term_start_mask
 from .instrument import StepCounter
 from .trie import TermTrie, Trie
 
@@ -82,12 +83,7 @@ def minimize_monotone(md: MonotoneDnf, *, counter: StepCounter | None = None) ->
         return md
     ctr = counter if counter is not None else StepCounter()
     d = md.dnf
-    items = []
-    for t in d.terms:
-        mask = 0
-        for lit in t:
-            mask |= 1 << (d.n - lit)
-        items.append((mask, t))
+    items = [(pos, t) for (pos, _), t in zip(d.term_masks, d.terms)]
     items.sort(key=lambda it: (it[0].bit_count(), it[1]))
     kept: list[tuple[int, Term]] = []
     for mask, t in items:
@@ -122,13 +118,8 @@ def enum_monotone_rs(md, *, counter: StepCounter | None = None):
 
     def gen():
         for t in d.terms:
-            base = 0
-            inside = set(t)
-            for v in t:
-                base |= 1 << (n - v)
-            free = [v for v in range(1, n + 1) if v not in inside]
-            bits = [1 << (n - v) for v in free]
-            ctr.n += n + 1
+            base, free = term_start_mask(t, n, ctr)
+            bits = [1 << s for s in free]
             stack = [(base, -1)]
             while stack:
                 mask, last = stack.pop()
@@ -138,7 +129,7 @@ def enum_monotone_rs(md, *, counter: StepCounter | None = None):
                 ctr.charge_output(mask, n)
                 yield mask
                 succs = []
-                for j in range(last + 1, len(free)):
+                for j in range(last + 1, len(bits)):
                     cand = mask | bits[j]
                     ctr.n += 1
                     if model_trie.search(bits_word(cand, n)) is None:
@@ -223,6 +214,7 @@ def _complement_phase(tt: TermTrie, live: list[int], base_mask: int, ctr: StepCo
                     break
                 ct.undo(token)
             else:
+                ct.release()  # the walk is done with its trie
                 return
             # x -> 1: every term survives, and x leaves the words that have it
             ct.root = root
@@ -252,8 +244,11 @@ def enum_monotone_log(md, *, counter: StepCounter | None = None):
     m = tt.root.count
     if m and n - tt.root.minlen < math.log2(m) + log2n2:
         # every term is already wide at the root: re-encode during setup so
-        # the complement build is paid before the first output
-        return _complement_phase(tt, active, 0, ctr, n)
+        # the complement build is paid before the first output; the
+        # complement trie replaces the term trie
+        walk = _complement_phase(tt, active, 0, ctr, n)
+        tt.release()
+        return walk
 
     def hook(tt_, active_, pos, mask):
         n_tau = len(active_) - pos

@@ -135,7 +135,6 @@ def enum_unions(fam: SetFamily, *, counter: StepCounter | None = None):
         return died
 
     def walk():
-        live = m
         # the open branches, innermost last: (e, ones, token, died) while
         # "e out" runs, (e, ones, token, None) while "e in" runs
         frames: list = []
@@ -154,20 +153,20 @@ def enum_unions(fam: SetFamily, *, counter: StepCounter | None = None):
                 # union must still cover the elements already ruled in
                 token = []
                 died = kill_subtree(trie.detach(e, token))
-                live -= len(died)
                 u = 0
                 for i in range(m):
                     if alive[i]:
                         u |= masks[i]
                 ctr.n += m + 1
                 frames.append((e, ones, token, died))
-                if ones & ~u == 0 and (u != 0 or (ones == 0 and live > 0)):
+                # root.count is nonzero exactly while some set is alive
+                if ones & ~u == 0 and (u != 0 or (ones == 0 and root.count)):
                     e += 1
                     continue
             else:
                 # no root child left: e..n are ruled out, and this is a leaf
                 ctr.n += n + 1 - e
-                if live:
+                if root.count:
                     ctr.charge_output(ones, n)
                     yield ones
             # close "e in" branches up to the innermost open "e out" one,
@@ -181,7 +180,6 @@ def enum_unions(fam: SetFamily, *, counter: StepCounter | None = None):
                 return
             for i in died:
                 alive[i] = True
-            live += len(died)
             trie.undo(token)
             # e in the union: every set survives, and the words starting
             # with e lose it

@@ -35,7 +35,9 @@ same on every trie: the sum over the fresh words of len(w) + 1, plus the
 nodes the merge made; minlen comes back from the snapshot at no charge of
 its own.  A grafted subtree is priced as the copy it replaces, and
 StepCounter.nodes counts its nodes as made, so peak_aux_memory_estimate is
-that of the copying merge while the real allocation is lower.
+that of the copying merge while the real allocation is lower.  A trie's
+nodes stay on that gauge until release(), which its owner calls when it
+drops the trie.
 """
 
 from __future__ import annotations
@@ -88,12 +90,20 @@ class Trie:
         self.counter = counter if counter is not None else StepCounter()
         self.track_minlen = track_minlen
         self.root = _Node()
-        self.node_count = 1
-        self.counter.nodes += 1
-        self._path: list[_Node] = []
+        self.node_count = 0
+        self._grow(1)
 
     def __len__(self) -> int:
         return self.root.count
+
+    def _grow(self, k: int) -> None:
+        """Count k more nodes (fewer, for k < 0) here and on the counter's gauge."""
+        self.node_count += k
+        self.counter.nodes += k
+
+    def release(self) -> None:
+        """Take this trie off the counter's node gauge; its owner drops it."""
+        self._grow(-self.node_count)
 
     # -- child plumbing ----------------------------------------------------
 
@@ -160,9 +170,7 @@ class Trie:
         """Like insert, but returns (leaf-if-new-else-None, leaf)."""
         ctr = self.counter
         node = self.root
-        path = self._path
-        path.clear()
-        path.append(node)
+        path = [node]
         self._check_word(word)
         made = 0
         for s in word:
@@ -174,11 +182,8 @@ class Trie:
             node = nxt
             path.append(node)
         ctr.n += len(word) + 1 + made
-        if made:
-            self.node_count += made
-            ctr.nodes += made
+        self._grow(made)
         if node.word:
-            path.clear()
             return None, node
         node.word = True
         for p in path:
@@ -189,7 +194,6 @@ class Trie:
                 r = total - i
                 if r < p.minlen:
                     p.minlen = r
-        path.clear()
         return node, node
 
     def search(self, word: Sequence[int]):
@@ -232,10 +236,8 @@ class Trie:
             self._pop_child(p, s)
             pruned += 1
             node = p
-        if pruned:
-            self.node_count -= pruned
-            ctr.nodes -= pruned
-            ctr.n += pruned
+        self._grow(-pruned)
+        ctr.n += pruned
         if self.track_minlen:
             self._recalc_minlen(node)
             for p, _ in reversed(parents):
@@ -340,10 +342,7 @@ class Trie:
         word and one per node made.
         """
         track = self.track_minlen
-        if src.s0 >= 0:
-            items = ((src.s0, src.k0),)
-        else:
-            items = src.kids.items() if src.kids else ()
+        items = self._child_items(src)
         if skip is None:
             cnt = src.count
             steps = 1
@@ -413,11 +412,8 @@ class Trie:
                 steps += 2 * nodes - 1 + words
                 made += nodes
                 undo += words + nodes
-        ctr = self.counter
-        ctr.n += steps
-        if made:
-            self.node_count += made
-            ctr.nodes += made
+        self.counter.n += steps
+        self._grow(made)
         token.append(("merge", cols, grafts, made, undo))
 
     # -- undo log ------------------------------------------------------------
@@ -443,11 +439,8 @@ class Trie:
                     x.minlen = minlen
                     x.word = word
                     x.data = data
-                ctr = self.counter
-                if made:
-                    self.node_count -= made
-                    ctr.nodes -= made
-                ctr.n += steps
+                self._grow(-made)
+                self.counter.n += steps
             elif tag == "detach":
                 _, parent, s, child = op
                 self._put(parent, s, child)

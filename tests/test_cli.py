@@ -455,6 +455,34 @@ def test_check_oracle_refuses_a_family_over_20_sets(tmp_path, sweep, capsys):
     assert "dnfenum: --check-oracle needs m <= 20 sets" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sweep", [False, True], ids=["run", "sweep"])
+@pytest.mark.parametrize(
+    "fault, message",
+    [("drop", "1 missing and 0 spurious models"), ("repeat", "1 duplicate models")],
+)
+def test_check_oracle_mismatch_exits_4(example_file, monkeypatch, sweep, fault, message, capsys):
+    real = enum_flashlight
+
+    def faulty(d, *, counter):
+        models = real(d, counter=counter)
+
+        def gen():
+            first = next(models)
+            if fault == "repeat":
+                yield first
+                yield first
+            yield from models
+
+        return gen()
+
+    monkeypatch.setattr("dnfenum.cli.enum_flashlight", faulty)
+    args = ["sweep", "--n", "6", "--sizes", "4"] if sweep else [example_file]
+    assert main([*args, "--algo", "flashlight", "--check-oracle"]) == 4
+    err = capsys.readouterr().err
+    assert f"dnfenum: oracle mismatch: {message}\n" in err
+    assert ("dnfenum: sweep failed at size 4" in err) == sweep
+
+
 def test_term_gray_needs_single_term(example_file, capsys):
     assert main(["--algo", "term-gray", example_file]) == 3
     assert "exactly one term" in capsys.readouterr().err

@@ -1,10 +1,14 @@
 """Formula representation, restriction semantics, parsing, and the oracle."""
 
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from conftest import dnfs
+import dnfenum
 from dnfenum.core import (
     BRUTE_FORCE_MAX_VARS,
     MAX_INPUT_VARS,
@@ -223,3 +227,14 @@ def test_every_exported_name_resolves():
     star: dict = {}
     exec("from dnfenum import *", star)  # an unresolved name raises here
     assert set(dnfenum.__all__) <= set(star)
+
+
+def test_no_assert_statement_in_the_package():
+    # python -O strips assert statements: a guard in the package must be a
+    # real check that raises
+    found = []
+    for path in sorted(Path(dnfenum.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -233,7 +233,29 @@ def test_budgeted_frame_loop_step_counts_are_pinned(fn):
     assert stats.max_delay_steps == 1694
     assert stats.avg_delay_steps == pytest.approx(4.073663711547852, rel=1e-12)
     assert stats.precompute_steps == 5133
-    assert stats.peak_aux_memory_estimate == 9815
+    # the live peak: a popped frame's trie leaves the gauge
+    assert stats.peak_aux_memory_estimate == 3232
+
+
+@pytest.mark.parametrize(
+    "fn, d, models, stats",
+    [
+        # x1 | ~x1 has one variable, under lambda*k = 3.55: the trie DFS
+        # takes the root frame, and its leaf sits one level down
+        (enum_kdnf_hybrid, Dnf(1, [(1,), (-1,)]), [0, 1], (23, 7, 11, 3)),
+        # no variable at all: the DFS has no active variable, and its root
+        # is the leaf
+        (enum_kdnf_hybrid, Dnf(0, [()]), [0], (4, 1, 3, 1)),
+        (lambda d, counter: enum_avg(d, "t10", counter=counter), Dnf(0, [()]), [0], (2, 1, 1, 1)),
+        (lambda d, counter: enum_avg(d, "t11", counter=counter), Dnf(0, [()]), [0], (2, 1, 1, 1)),
+    ],
+    ids=["kdnf-hybrid-one-var", "kdnf-hybrid-no-var", "avg-t10-no-var", "avg-t11-no-var"],
+)
+def test_trie_dfs_at_the_shallowest_depths_is_pinned(fn, d, models, stats):
+    got, st = measure(lambda c: fn(d, counter=c))
+    assert got == models
+    assert (st.total_steps, st.max_delay_steps, st.precompute_steps,
+            st.peak_aux_memory_estimate) == stats
 
 
 def test_frame_memory_does_not_grow_with_the_alphabet():

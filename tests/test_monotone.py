@@ -217,6 +217,15 @@ def test_switch_threshold_is_strict(monkeypatch):
     assert sl[0][2] < thresh <= 8 - 1
 
 
+def test_monotone_log_peak_counts_only_live_complement_tries():
+    # each complement walk drops its trie when it ends; a running total of
+    # every complement trie ever built would read 5326
+    d = generate("monotone", 18, 20, seed=23)
+    _, stats = measure(lambda ctr: enum_monotone_log(d, counter=ctr), collect=False)
+    assert stats.n_models == 144688
+    assert stats.peak_aux_memory_estimate == 443
+
+
 def test_reverse_search_memory_holds_all_models():
     d = all_width_terms(8, 4)
     models, stats = measure(lambda ctr: enum_monotone_rs(MonotoneDnf(d), counter=ctr))

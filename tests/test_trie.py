@@ -8,9 +8,17 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from conftest import dnfs
+from dnfenum import (
+    enum_avg,
+    enum_kdnf,
+    enum_kdnf_hybrid,
+    enum_monotone_avg,
+    enum_monotone_log,
+    enum_unions,
+)
 from dnfenum.core import Dnf, lit_index, restrict
 from dnfenum.instances import generate
-from dnfenum.instrument import StepCounter
+from dnfenum.instrument import StepCounter, measure
 from dnfenum.trie import NO_WORDS, TermTrie, Trie
 
 
@@ -398,6 +406,61 @@ def test_fast_restriction_of_an_absent_literal_leaves_the_node_gauge_alone():
         tt.undo(tt.set_variable_fast(1, 1))
         assert tt.node_count == tt.counter.nodes == 3
     assert sorted(tt.decode()) == [(2,), (3,)]
+
+
+def test_release_takes_a_trie_off_the_gauge():
+    ctr = StepCounter()
+    keep = TermTrie.from_dnf(Dnf(3, ((1, 2), (-3,))), counter=ctr)
+    drop = TermTrie.from_dnf(Dnf(3, ((2, 3),)), counter=ctr)
+    assert ctr.nodes == keep.node_count + drop.node_count == 7
+    drop.release()
+    assert drop.node_count == 0
+    assert ctr.nodes == keep.node_count == 4
+
+
+#: monotone-log restricts this one in its DFS and re-encodes subtrees on the way
+MONO_DFS = generate("monotone", 18, 20, seed=23)
+#: every term is wide at the root: monotone-log re-encodes it during setup
+MONO_SETUP = generate("monotone", 12, 10, seed=1)
+KDNF = generate("kdnf", 14, 40, k=3, seed=1)
+#: x1 & x2 | x1 & x3: the block x1 = 0 of the first term keeps no term
+KDNF_EMPTY_BLOCK = Dnf(3, ((1, 2), (1, 3)))
+RANDOM = generate("random", 12, 20, seed=1)
+
+
+@pytest.mark.parametrize(
+    "factory, keeps_its_trie",
+    [
+        (lambda c: enum_avg(RANDOM, "t10", counter=c), True),
+        (lambda c: enum_avg(RANDOM, "t11", counter=c), True),
+        (lambda c: enum_monotone_avg(MONO_DFS, counter=c), True),
+        (lambda c: enum_unions(generate("sets", 12, 8, seed=1), counter=c), True),
+        (lambda c: enum_monotone_log(MONO_DFS, counter=c), True),
+        (lambda c: enum_monotone_log(MONO_SETUP, counter=c), False),
+        (lambda c: enum_kdnf(KDNF, counter=c), False),
+        (lambda c: enum_kdnf_hybrid(KDNF, counter=c), False),
+        (lambda c: enum_kdnf(KDNF_EMPTY_BLOCK, counter=c), False),
+        (lambda c: enum_kdnf_hybrid(KDNF_EMPTY_BLOCK, counter=c), False),
+    ],
+    ids=[
+        "avg-t10", "avg-t11", "monotone-avg", "setunion", "monotone-log-dfs",
+        "monotone-log-setup", "kdnf", "kdnf-hybrid", "kdnf-empty-block", "kdnf-hybrid-empty-block",
+    ],
+)
+def test_a_finished_run_leaves_only_the_tries_it_holds_on_the_gauge(factory, keeps_its_trie):
+    # the DFS enumerators undo every restriction and keep the trie they
+    # started with; kdnf drops each frame's trie, and monotone-log each
+    # complement trie and, when it re-encodes during setup, the term trie
+    seen = {}
+
+    def spy(ctr):
+        models = factory(ctr)
+        seen["ctr"], seen["at_return"] = ctr, ctr.nodes
+        return models
+
+    _, stats = measure(spy, collect=False)
+    assert stats.n_models > 0
+    assert seen["ctr"].nodes == (seen["at_return"] if keeps_its_trie else 0)
 
 
 # -- term tries ---------------------------------------------------------------
