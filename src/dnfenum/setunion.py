@@ -3,17 +3,27 @@
 Given sets S_1..S_m over {1..n}, the targets are all unions of non-empty
 subfamilies (the empty set is a target exactly when it is one of the S_i).
 The enumerator decides element by element whether it belongs to the union,
-keeping the still-usable sets in a trie of sorted element words:
+keeping the still-usable sets in a trie of sorted element words, and each
+element's number of live sets holding it as a bit-sliced count: planes[j]
+holds bit j of every count, m.bit_length() planes of n bits, O(n log m)
+bits in all.  A set joins the counts by a carry ripple over the planes and
+leaves them by a borrow ripple, at one step per plane touched.  The
+counts cannot be read off the trie: it counts distinct words, and two sets
+become one word once their ruled-in prefixes are stripped.
 
 * ruling an element out kills precisely the sets containing it — one
   detached subtree, since by then every live word starts at or after the
-  element — followed by an O(m) re-check that the union of survivors still
-  covers everything already ruled in;
+  element — and takes each from the counts.  Only if a dying set held an
+  element already ruled in must the survivors be checked to still cover
+  everything ruled in: the OR of the planes, one step per plane;
 * ruling it in keeps every set and strips the element from the words that
   start with it, a small-into-large merge.
 
-Both branches restore the trie through the undo log on backtrack, so the
-space beyond the family itself stays O(size of the family).
+Both branches restore the trie through the undo log on backtrack, and the
+dead sets rejoin the counts, so the space beyond the family itself stays
+O(size of the family) plus the planes.  When the walk is exhausted, every
+kill has been revived, and the planes are checked to equal their value
+after the build.
 
 The walk is one loop over an explicit stack of frames, one per element
 whose branch is open, so no recursion limit bounds n and resuming after an
@@ -21,9 +31,8 @@ output does not climb a chain of suspended generators.  Since every live
 word starts at or after the current element, the next element that heads a
 word is the root's smallest child symbol; the elements before it have no
 root child, and the loop jumps over them while still charging each its one
-step, in a single add.  Step charges, and so the output stream and every
-delay, are the same as those of the element-by-element recursion the loop
-replaced.
+step, in a single add, so every delay is that of a walk that decides the
+skipped elements one by one.
 """
 
 from __future__ import annotations
@@ -104,35 +113,58 @@ def brute_force_unions(fam: SetFamily) -> list[int]:
     return sorted(out)
 
 
+def _count_in(planes: list[int], masks: list[int]) -> int:
+    """Add one to the bit-sliced count of each element of each mask, by a
+    carry ripple per mask; returns the planes touched."""
+    touched = 0
+    try:
+        for mk in masks:
+            j = 0
+            while mk:
+                p = planes[j]
+                planes[j] = p ^ mk
+                mk &= p
+                j += 1
+            touched += j
+    except IndexError:
+        raise RuntimeError("a cover count outgrew its planes") from None
+    return touched
+
+
+def _count_out(planes: list[int], masks: list[int]) -> tuple[int, int]:
+    """Take one off the bit-sliced count of each element of each mask, by a
+    borrow ripple per mask; returns the planes touched and the masks' union."""
+    touched = hit = 0
+    try:
+        for mk in masks:
+            hit |= mk
+            j = 0
+            while mk:
+                p = planes[j]
+                planes[j] = p ^ mk
+                mk &= ~p
+                j += 1
+            touched += j
+    except IndexError:
+        raise RuntimeError("a cover count fell below zero") from None
+    return touched, hit
+
+
 def enum_unions(fam: SetFamily, *, counter: StepCounter | None = None):
     """Enumerate the union masks in ascending order."""
     ctr = counter if counter is not None else StepCounter()
     n = fam.n
-    m = fam.m
     masks = fam.masks()
     trie = Trie(n + 1, counter=ctr)
-    for i, s in enumerate(fam.sets):
+    for s, mk in zip(fam.sets, masks):
         fresh, leaf = trie.insert_get(s)
         if fresh is None:
             raise RuntimeError(f"set {s} is in the family twice")
-        leaf.data = [i]
-    alive = [True] * m
-
-    def kill_subtree(node) -> list[int]:
-        died: list[int] = []
-        stack = [node]
-        seen = 0
-        while stack:
-            nd = stack.pop()
-            seen += 1
-            if nd.word:
-                for i in nd.data:
-                    alive[i] = False
-                    died.append(i)
-            for _, kid in trie._child_items(nd):
-                stack.append(kid)
-        ctr.n += seen + len(died) + 1
-        return died
+        leaf.data = [mk]
+    # planes[j] holds bit j of every element's count of live sets holding it
+    planes = [0] * fam.m.bit_length()
+    ctr.n += _count_in(planes, masks)
+    built = planes[:]
 
     def walk():
         # the open branches, innermost last: (e, ones, token, died) while
@@ -148,19 +180,38 @@ def enum_unions(fam: SetFamily, *, counter: StepCounter | None = None):
                 # the next root child are ruled out at one step each
                 skip = nxt - e
                 e = nxt
-                ctr.n += skip + 1
-                # e out of the union: sets containing e die; the survivors'
-                # union must still cover the elements already ruled in
+                # e out of the union: the sets containing e, one detached
+                # subtree, die and leave the counts
                 token = []
-                died = kill_subtree(trie.detach(e, token))
-                u = 0
-                for i in range(m):
-                    if alive[i]:
-                        u |= masks[i]
-                ctr.n += m + 1
+                stack = [trie.detach(e, token)]
+                died: list[int] = []
+                steps = skip + 2  # the skipped elements, e, and the detach
+                while stack:
+                    nd = stack.pop()
+                    steps += 1
+                    if nd.word:
+                        died += nd.data
+                    if nd.s0 >= 0:
+                        stack.append(nd.k0)
+                    elif nd.kids:
+                        stack.extend(nd.kids.values())
+                touched, hit = _count_out(planes, died)
+                steps += touched
                 frames.append((e, ones, token, died))
-                # root.count is nonzero exactly while some set is alive
-                if ones & ~u == 0 and (u != 0 or (ones == 0 and root.count)):
+                if ones & hit:
+                    # a ruled-in element lost a holder: the survivors must
+                    # still cover everything ruled in
+                    u = 0
+                    for p in planes:
+                        u |= p
+                    steps += len(planes)
+                    ok = ones & ~u == 0
+                else:
+                    # everything ruled in keeps its holders; root.count is
+                    # nonzero exactly while some set is alive
+                    ok = root.count
+                ctr.n += steps
+                if ok:
                     e += 1
                     continue
             else:
@@ -177,9 +228,10 @@ def enum_unions(fam: SetFamily, *, counter: StepCounter | None = None):
                     break
                 trie.undo(token)
             else:
+                if planes != built:
+                    raise RuntimeError("the cover counts did not return to their start")
                 return
-            for i in died:
-                alive[i] = True
+            ctr.n += _count_in(planes, died)
             trie.undo(token)
             # e in the union: every set survives, and the words starting
             # with e lose it

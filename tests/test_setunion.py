@@ -9,6 +9,7 @@ from hypothesis import given, settings
 
 from conftest import cli_launch, set_families, shallow_recursion_limit
 from dnfenum.core import MAX_INPUT_VARS, DnfFormatError, mask_from_bits
+from dnfenum import setunion
 from dnfenum.instrument import measure
 from dnfenum.setunion import (
     SetFamily,
@@ -152,27 +153,94 @@ DEEP_SHAPE = SetFamily(400, [tuple(40 * i + 1 + 13 * j for j in range(1 + i % 3)
 @pytest.mark.parametrize(
     "fam,n_models,total,max_delay,avg_delay",
     [
-        (DEEP_SHAPE, 1023, 125910, 952, 123.03225806451613),
+        (DEEP_SHAPE, 1023, 111310, 843, 108.75073313782991),
         (
             SetFamily(12, [(1, 2, 3), (3, 4), (2, 5, 6, 7), (7, 8, 12), (1, 12), (9,), (5, 9, 10, 11), ()]),
-            78, 5020, 205, 63.782051282051285,
+            78, 4546, 194, 57.55128205128205,
         ),
         (
             SetFamily(60, [(4, 11, 16, 44), (9, 13, 20), (1,), (8, 23, 30, 37, 47), (29, 34),
                            (29, 52), (3, 25), (42,), (20, 30, 33)]),
-            511, 41290, 386, 80.69667318982387,
+            511, 34678, 326, 67.7358121330724,
         ),
     ],
     ids=["deep-shape", "overlapping", "random"],
 )
 def test_step_counts_are_pinned(fam, n_models, total, max_delay, avg_delay):
     # the element walk's step charges are part of the claim; these figures
-    # were recorded from the recursive walk the frame stack replaced
+    # were recorded with the bit-sliced cover counts
     _, stats = measure(lambda c: enum_unions(fam, counter=c))
     assert stats.n_models == n_models
     assert stats.total_steps == total
     assert stats.max_delay_steps == max_delay
     assert stats.avg_delay_steps == pytest.approx(avg_delay, rel=1e-12)
+
+
+def test_sets_that_collapse_into_one_word_keep_their_own_counts():
+    # once 1 is ruled in, (1, 2, 3, 4, 5) and (2, 3, 4, 5) are both the word
+    # 2 3 4 5, which the trie counts once; cover counts read off the trie
+    # lost the union 30 = {1, 2, 3, 4} here
+    fam = SetFamily(5, [(1, 2, 3, 4, 5), (2, 3), (2, 3, 4, 5), (1, 4)])
+    assert list(enum_unions(fam)) == brute_force_unions(fam) == [12, 15, 18, 30, 31]
+
+
+@st.composite
+def shared_tail_families(draw):
+    """Sets made of a prefix in 1..c and one of a few tails in c+1..n, so
+    that sets collapse into one trie word once their prefixes are ruled in."""
+    n = draw(st.integers(2, 14))
+    c = draw(st.integers(1, n - 1))
+    tails = draw(st.lists(st.sets(st.integers(c + 1, n)), min_size=1, max_size=3))
+    prefixes = draw(st.lists(st.sets(st.integers(1, c)), min_size=1, max_size=9))
+    return SetFamily(n, [p | draw(st.sampled_from(tails)) for p in prefixes])
+
+
+@settings(max_examples=200)
+@given(shared_tail_families())
+def test_shared_tails_match_brute_force(fam):
+    assert list(enum_unions(fam)) == brute_force_unions(fam)
+
+
+def _sparse_family(m: int) -> SetFamily:
+    rng = random.Random(m)
+    return SetFamily(40, [rng.sample(range(1, 41), rng.randint(2, 5)) for _ in range(m)])
+
+
+def test_average_delay_is_flat_in_m():
+    # only a dying set that held a ruled-in element costs a cover check,
+    # and it costs one step per plane, so the mean delay does not grow
+    # with the family
+    avg = {}
+    for m in (50, 1000):
+        fam = _sparse_family(m)
+        _, stats = measure(lambda c: enum_unions(fam, counter=c), limit=5000, collect=False)
+        assert stats.n_models == 5000
+        avg[m] = stats.avg_delay_steps
+    assert avg[1000] <= 2 * avg[50]
+
+
+@pytest.mark.parametrize(
+    "fam,lost_call,message",
+    [
+        (SetFamily(2, [(1,), (2,)]), 3, "did not return to their start"),
+        (SetFamily(3, [(1, 2), (3,)]), 2, "fell below zero"),
+    ],
+    ids=["end-of-walk", "borrow"],
+)
+def test_a_revive_that_loses_a_set_is_caught(monkeypatch, fam, lost_call, message):
+    # call 1 of _count_in is the build; each later one revives the sets an
+    # "e out" branch killed, and here one of them drops its first set
+    count_in = setunion._count_in
+    calls = 0
+
+    def lossy(planes, masks):
+        nonlocal calls
+        calls += 1
+        return count_in(planes, masks[1:] if calls == lost_call else masks)
+
+    monkeypatch.setattr(setunion, "_count_in", lossy)
+    with pytest.raises(RuntimeError, match=message):
+        list(enum_unions(fam))
 
 
 @st.composite
