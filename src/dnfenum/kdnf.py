@@ -5,10 +5,12 @@ by Gray code at constant cost each.  The remaining models split cleanly:
 ordering var(T) ascending, every other model agrees with T strictly below
 some y in var(T) and disagrees at y.  Each of those blocks is the formula
 restricted by that prefix assignment — a smaller instance of the same
-problem.  The restrictions for all y are precomputed while the Gray walk
-runs, a fixed budget of steps between consecutive outputs, and the budget
-arithmetic guarantees construction finishes within (at worst one budget
-slice after) the walk.
+problem.  The restrictions for all y are built while the Gray walk runs,
+paced: each frame states an upper bound on the steps of its own
+construction (from its shortest-term width, term count and free-variable
+count), divides it once by the length of its walk, and runs at least that
+share before each output until construction is done.  So construction
+always ends inside the walk; the frame checks that it did.
 
 The hybrid variant hands any frame whose live variable count drops below
 lambda*k to the trie-guided enumerator from avg, which is the better
@@ -56,7 +58,9 @@ def choose_min_term(d: Dnf) -> Term:
 
 #: steps per (term x literal x block) of child construction, measured once:
 #: _build_children on 60 distinct random 3-terms over 14 variables (seed
-#: 0x5EED) counts 2,174 steps against k^2 * m = 540, rounded up to 5
+#: 0x5EED) counts 2,174 steps against k^2 * m = 540, rounded up to 5.  The
+#: walk paces by _construction_bound instead; A stays only for
+#: step_constant(), which perfbench/layers.py still calls
 A = 5
 
 
@@ -122,6 +126,19 @@ def _make_frame(tt, assign, unassigned, min_word, cfg, ctr, n, path=()):
     return _Frame(tt, assign, unassigned, min_word, GrayState(start, free), path)
 
 
+def _construction_bound(F: _Frame, cfg: KdnfConfig) -> int:
+    """An upper bound on the steps _build_children(F) charges.
+
+    Per block of the k' blocks, with m' words of at most k symbols and n'
+    unassigned variables: iter_words visits at most 1 + m'k nodes, each term scan
+    costs at most k + 2, each insert at most 2k + 1 (k + 1 plus one per new
+    node), and the child costs len(F.unassigned) + len(delta) plus
+    _make_frame's nu + 1, 2n' + 1 together.
+    """
+    k = cfg.k
+    return len(F.min_word) * (F.tt.root.count * (4 * k + 3) + 2 * len(F.unassigned) + 2)
+
+
 def _build_children(F: _Frame, cfg: KdnfConfig, ctr: StepCounter, n: int):
     """Resumable construction of the flip-prefix restrictions of F.
 
@@ -183,10 +200,13 @@ def _kdnf_walk(d: Dnf, cfg: KdnfConfig | None, counter: StepCounter | None, hybr
 
     Fills in the default counter and config.  After each model, the top
     frame of the stack is the frame whose block holds that model.  A frame
-    is walked in one pass: one budget slice of child construction before
-    each output until the builder is done, then the rest of the Gray walk
-    as runs at 4 steps an output (2 for the flip, 2 for charge_output's
-    one-bit change), then whatever construction is left.
+    is walked in one pass: before each output, a slice of at least
+    ceil(bound / 2^(n' - k')) steps of child construction, with bound its
+    _construction_bound, until the builder is done; then the rest of the
+    Gray walk as runs at 4 steps an output (2 for the flip, 2 for
+    charge_output's one-bit change).  The walk has 2^(n' - k') outputs, so
+    the slices cover the bound; if construction still has steps left after
+    the walk, the bound was wrong and the frame raises RuntimeError.
     """
     ctr = counter if counter is not None else StepCounter()
     if cfg is None:
@@ -201,7 +221,6 @@ def _kdnf_walk(d: Dnf, cfg: KdnfConfig | None, counter: StepCounter | None, hybr
         min_word = tuple(lit_index(lit) for lit in choose_min_term(d))
         ctr.n += d.size + 1
         stack.append(_make_frame(tt, 0, tuple(range(1, n + 1)), min_word, cfg, ctr, n))
-    budget = cfg.d * A
     cutoff = cfg.lam * cfg.k
 
     def gen():
@@ -211,12 +230,14 @@ def _kdnf_walk(d: Dnf, cfg: KdnfConfig | None, counter: StepCounter | None, hybr
                 yield from _trie_dfs(F.tt, list(F.unassigned), F.assign, ctr, fast=True)
             else:
                 gray = F.gray
+                # ceil(bound / 2^(n' - k')): the walk has 2^(n' - k') outputs
+                budget = -(-_construction_bound(F, cfg) >> (len(F.unassigned) - len(F.min_word)))
                 builder = _build_children(F, cfg, ctr, n)
                 building = True
                 mask = gray.mask
                 while True:
                     mark = ctr.n
-                    for _ in builder:  # one budget slice of construction
+                    for _ in builder:  # one slice of construction
                         if ctr.n - mark >= budget:
                             break
                     else:
@@ -227,8 +248,13 @@ def _kdnf_walk(d: Dnf, cfg: KdnfConfig | None, counter: StepCounter | None, hybr
                         break
                     mask = gray.advance(ctr)
                 yield from gray.runs(4)
-                for _ in builder:  # what is left if the walk ran out first
+                mark = ctr.n
+                for _ in builder:
                     pass
+                if ctr.n != mark:
+                    raise RuntimeError(
+                        f"kdnf frame {F.path}: construction outran its bound by {ctr.n - mark} steps"
+                    )
             stack.pop()
             F.tt.release()
             stack.extend(reversed(F.children))

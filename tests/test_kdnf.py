@@ -198,8 +198,8 @@ PINNED_DNF = generate("kdnf", 11, 12, k=3, seed=1)
 @pytest.mark.parametrize(
     "fn,n_models,total,max_delay,avg_delay",
     [
-        (enum_kdnf, 2012, 8918, 150, 4.386182902584493),
-        (enum_kdnf_hybrid, 2012, 11079, 150, 5.460238568588469),
+        (enum_kdnf, 2012, 8918, 31, 4.386182902584493),
+        (enum_kdnf_hybrid, 2012, 11079, 82, 5.460238568588469),
     ],
     ids=["kdnf", "kdnf-hybrid"],
 )
@@ -217,20 +217,20 @@ def test_criterion_11_step_counts_are_pinned():
     d = generate("kdnf", 40, 1000, k=3, seed=11)
     _, stats = measure(lambda c: enum_kdnf(d, counter=c), limit=100_000, collect=False)
     assert stats.total_steps == 409383
-    assert stats.max_delay_steps == 1715
+    assert stats.max_delay_steps == 85
     assert stats.avg_delay_steps == pytest.approx(4.02188, rel=1e-12)
 
 
 @pytest.mark.parametrize("fn", [enum_kdnf, enum_kdnf_hybrid], ids=["kdnf", "kdnf-hybrid"])
 def test_budgeted_frame_loop_step_counts_are_pinned(fn):
-    # 591 width-3 terms over n=20: 12 outputs come while the root's builder
-    # still runs, so the budget slices between outputs are exercised
+    # 591 width-3 terms over n=20: 1,777 outputs come while the root's builder
+    # still runs, so the paced slices between outputs are exercised
     d = random_dnf(random.Random(7), 20, 600, min_width=3, max_width=3, signed=True)
     assert d.m == 591
     _, stats = measure(lambda c: fn(d, counter=c), collect=False)
     assert stats.n_models == 1 << 20
     assert stats.total_steps == 4276679
-    assert stats.max_delay_steps == 1694
+    assert stats.max_delay_steps == 45
     assert stats.avg_delay_steps == pytest.approx(4.073663711547852, rel=1e-12)
     assert stats.precompute_steps == 5133
     # the live peak: a popped frame's trie leaves the gauge
