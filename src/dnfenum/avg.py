@@ -90,12 +90,9 @@ def _trie_dfs(
                             f"fast branch on x{v}: {rest} leftover terms are not a strict"
                             f" minority of {tt.root.count}"
                         )
-                    token = tt.set_variable_fast(v, trying)
-                else:
-                    token = tt.set_variable(v, trying)
+                tokens[pos] = tt.set_variable(v, trying, use_fast)
                 if trying:
                     mask |= 1 << (n - v)
-                tokens[pos] = token
                 pos += 1
                 trying = 0
                 continue

@@ -12,9 +12,9 @@ count), divides it once by the length of its walk, and runs at least that
 share before each output until construction is done.  So construction
 always ends inside the walk; the frame checks that it did.
 
-The hybrid variant hands any frame whose live variable count drops below
-lambda*k to the trie-guided enumerator from avg, which is the better
-strategy on small dense subproblems.
+The hybrid variant hands any frame with fewer than LAMBDA_DEFAULT * k
+(about 3.55k) live variables to the trie-guided enumerator from avg, which
+is the better strategy on small dense subproblems.
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ from .graycode import GrayState
 from .instrument import Models, StepCounter
 from .trie import TermTrie
 
+#: kdnf-hybrid hands a frame of fewer than LAMBDA_DEFAULT * k live
+#: variables to the trie DFS
 LAMBDA_DEFAULT = 3.55301
 
 
@@ -72,17 +74,16 @@ def step_constant() -> int:
 class KdnfConfig:
     k: int
     d: int
-    lam: float = LAMBDA_DEFAULT
 
     @classmethod
-    def for_width(cls, k: int, lam: float = LAMBDA_DEFAULT) -> "KdnfConfig":
+    def for_width(cls, k: int) -> "KdnfConfig":
         k = max(k, 1)
         if k > MAX_INPUT_VARS:
             raise ValueError(f"k={k} exceeds the limit of {MAX_INPUT_VARS}")
         # d = ceil(k^1.5 * 4^k), with k^1.5 the float k**1.5 taken exactly:
         # the product in floats would overflow from k = 506 on
         p, q = (k**1.5).as_integer_ratio()
-        return cls(k=k, d=-((-p << 2 * k) // q), lam=lam)
+        return cls(k=k, d=-((-p << 2 * k) // q))
 
     @classmethod
     def for_formula(cls, d: Dnf) -> "KdnfConfig":
@@ -221,7 +222,7 @@ def _kdnf_walk(d: Dnf, cfg: KdnfConfig | None, counter: StepCounter | None, hybr
         min_word = tuple(lit_index(lit) for lit in choose_min_term(d))
         ctr.n += d.size + 1
         stack.append(_make_frame(tt, 0, tuple(range(1, n + 1)), min_word, cfg, ctr, n))
-    cutoff = cfg.lam * cfg.k
+    cutoff = LAMBDA_DEFAULT * cfg.k
 
     def gen():
         while stack:

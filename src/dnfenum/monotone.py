@@ -218,7 +218,7 @@ def _complement_phase(tt: TermTrie, live: list[int], base_mask: int, ctr: StepCo
                 return
             # x -> 1: every term survives, and x leaves the words that have it
             ct.root = root
-            frames.append((i, mask, x, root, ct.strip_first(x)))
+            frames.append((i, mask, x, root, ct.strip(x)))
             mask |= bits[idx[x]]
             i += 1
 

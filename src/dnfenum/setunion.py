@@ -235,7 +235,7 @@ def enum_unions(fam: SetFamily, *, counter: StepCounter | None = None):
             trie.undo(token)
             # e in the union: every set survives, and the words starting
             # with e lose it
-            frames.append((e, ones, trie.strip_first(e), None))
+            frames.append((e, ones, trie.strip(e), None))
             ones |= 1 << (n - e)
             e += 1
 

@@ -8,14 +8,16 @@ cost no dict.  Child operations are O(1) whatever the alphabet, and a
 node's memory grows with its number of children, not with the alphabet.
 
 Every node carries the number of words in its subtree, which is what the
-enumeration algorithms read to decide how to branch.  The in-place
-restriction is strip_first(s): drop s from the words that start with it by
-merging the smaller side into the larger one, either child(s) into the
-root or the rest of the root into child(s).  :class:`TermTrie` adds the
-DNF-specific restrictions on the same merge: set_variable reinserts the
-stripped terms, set_variable_fast re-roots on the subtree of one literal.
-Each returns an undo token; applying tokens in LIFO order restores the
-exact prior word set.
+enumeration algorithms read to decide how to branch.  The one in-place
+restriction is strip(s, drop): strip s from the words that start with it
+and drop the words that start with drop, by one of two sides.  The detach
+side detaches child(drop) and child(s) and merges child(s)'s words in at
+the root; the re-root side makes child(s) the root and merges the old
+root's other words into it.  Left to choose, strip moves the smaller side.
+On a :class:`TermTrie` the empty word is the empty term, which absorbs
+every other, and set_variable(v, b) is strip on the literal ranks of v.
+Each restriction returns an undo token; applying tokens in LIFO order
+restores the exact prior word set.
 
 The merge is one walk over the moved subtree (the source) and the trie
 (the target) together.  Where the target already has the child, the walk
@@ -80,6 +82,9 @@ def _subtree_size(node: _Node) -> tuple[int, int]:
 
 
 class Trie:
+    #: whether the empty word absorbs every other (a DNF's empty term)
+    absorbs = False
+
     def __init__(
         self,
         alphabet: int,
@@ -301,33 +306,57 @@ class Trie:
             token.append(("detach", root, s, kid))
         return kid
 
-    def strip_first(self, s: int) -> list:
-        """Strip the symbol s from the words that start with it, in place.
+    def strip(self, s: int, drop: int = -1, reroot: bool | None = None) -> list:
+        """Strip s from the words that start with it and drop the words that
+        start with drop (if drop >= 0), in place; returns an undo token.
 
-        Every word survives, and the smaller side moves: either child(s) is
-        detached and its words are merged in at the root, or child(s)
-        becomes the root and the root's other words are merged into it.
-        The merge grafts the moved subtrees the target lacks instead of
-        copying them, so until this token is undone they are shared with
-        the detached child or the hidden old root; undo them in LIFO order.
-        Leaf payload lists travel with their words; where a moved word meets
-        one already there, the lists are concatenated.  child(s) must exist,
-        and the trie must not track minlen.  Charges one step, plus the
-        merge, both as if each moved word were copied.  Returns an undo
-        token: a "detach" or "root" op followed by one "merge" op.
+        With reroot, child(s) becomes the root (a fresh empty one, off the
+        node gauge, if absent) and the old root's words that start with
+        neither s nor drop are merged into it.  Without it, child(drop) and
+        child(s) are detached and child(s)'s words are merged in at the
+        root.  None re-roots only when child(s) holds most of the words.
+        Grafted subtrees stay shared with the detached child or the hidden
+        old root, so undo tokens in LIFO order.  Leaf payload lists travel
+        with their words, concatenated where two meet.  On a trie that
+        absorbs, a root holding the empty word is left alone, and a bare
+        word (s,) leaves a lone empty-word root, also off the gauge.
+        Charges one step, plus on the detach side one for drop, the root's
+        minlen recalculation and one for an absorption, and the merge as if
+        each moved word were copied.
         """
-        root = self.root
-        kid = self._get(root, s)
-        cnt = kid.count
-        self.counter.n += 1
         token: list = []
-        if cnt <= root.count - cnt:
-            self.detach(s, token)
-            self._merge(kid, token)
-        else:
+        root = self.root
+        if root.word and self.absorbs:
+            return token
+        ctr = self.counter
+        kid = self._get(root, s)
+        if reroot is None:
+            reroot = kid is not None and 2 * kid.count > root.count
+        ctr.n += 1
+        if not reroot:
+            detached = kid is not None
+            if drop >= 0:
+                ctr.n += 1
+                detached |= self.detach(drop, token) is not None
+            if kid is not None:
+                self.detach(s, token)
+            if detached and self.track_minlen:
+                self._recalc_minlen(root)
+        if kid is not None and kid.word and self.absorbs:
+            # the bare word (s,) strips to the empty word, which absorbs
+            # every other: a lone empty-word leaf becomes the root
+            ctr.n += not reroot
             token.append(("root", root))
-            self.root = kid
-            self._merge(root, token, (s,))
+            leaf = self.root = _Node()
+            leaf.word = True
+            leaf.count = 1
+            leaf.minlen = 0
+        elif reroot:
+            token.append(("root", root))
+            self.root = kid if kid is not None else _Node()
+            self._merge(root, token, (s, drop))
+        elif kid is not None:
+            self._merge(kid, token)
         return token
 
     def _merge(self, src: _Node, token: list, skip: tuple[int, ...] | None = None) -> None:
@@ -463,6 +492,8 @@ class TermTrie(Trie):
     with neither) that drives the branching enumerators.
     """
 
+    absorbs = True
+
     def __init__(self, n: int, counter: StepCounter | None = None, track_minlen: bool = False):
         super().__init__(2 * n, counter=counter, track_minlen=track_minlen)
         self.n = n
@@ -494,72 +525,9 @@ class TermTrie(Trie):
         nb = b.count if b is not None else 0
         return na, nb, root.count - na - nb
 
-    # -- in-place restriction with undo -------------------------------------
-
-    def _absorb(self, token: list) -> None:
-        # an empty term appeared: it absorbs every other term.  A lone
-        # empty-word leaf becomes the root; it stands in for the root it
-        # hides, so the node gauge does not count it
-        token.append(("root", self.root))
-        leaf = self.root = _Node()
-        leaf.word = True
-        leaf.count = 1
-        leaf.minlen = 0
-
-    def set_variable(self, v: int, b: int) -> list:
-        """Restrict x_v := b in place, rebuilding by strip-and-reinsert.
-
-        Terms whose literal on v is falsified are dropped in one detach;
-        terms whose literal is satisfied are detached and reinserted without
-        it.  Returns an undo token.
-        """
-        token: list = []
-        root = self.root
-        if root.word:
-            return token
-        # literal ranks: 2v-2 is -v and 2v-1 is v
+    def set_variable(self, v: int, b: int, fast: bool = False) -> list:
+        """Restrict x_v := b in place: strip the satisfied literal (rank
+        2v - 2 + b), drop the falsified one, re-rooting if fast.  Returns an
+        undo token."""
         sat = 2 * v - 2 + b
-        ctr = self.counter
-        dead = self.detach(sat ^ 1, token)
-        strip = self.detach(sat, token)
-        ctr.n += 2
-        if self.track_minlen and (dead is not None or strip is not None):
-            self._recalc_minlen(root)
-        if strip is not None:
-            if strip.word:
-                # the bare literal: its stripped term is empty
-                ctr.n += 1
-                self._absorb(token)
-            else:
-                self._merge(strip, token)
-        return token
-
-    def set_variable_fast(self, v: int, b: int = 1) -> list:
-        """Restrict x_v := b by re-rooting on the satisfied literal's subtree.
-
-        The subtree under the satisfied literal already holds exactly the
-        stripped surviving terms, so it becomes the new root and only the
-        terms mentioning neither literal are copied in.  Cheapest when that
-        remainder is the small side; the caller chooses between this and
-        set_variable from the subtree counts.
-        """
-        token: list = []
-        root = self.root
-        if root.word:
-            return token
-        sat = 2 * v - 2 + b
-        ctr = self.counter
-        base = self._get(root, sat)
-        ctr.n += 1
-        token.append(("root", root))
-        if base is None:
-            # like _absorb's leaf, this empty root stands in for the root it
-            # hides, so the node gauge does not count it
-            base = _Node()
-        self.root = base
-        if base.word:
-            # the term was the bare literal on v: tautology below this point
-            self._absorb(token)
-            return token
-        self._merge(root, token, (sat, sat ^ 1))
-        return token
+        return self.strip(sat, sat ^ 1, fast)

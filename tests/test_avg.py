@@ -85,13 +85,12 @@ def log_branches(monkeypatch) -> list:
     """Log (v, b, na, nb, rest, used_fast) for each restriction of a TermTrie,
     with the root's three-way split on x_v before it."""
     log: list = []
-    for name, fast in (("set_variable", False), ("set_variable_fast", True)):
 
-        def watched(tt, v, b, restrict=getattr(TermTrie, name), fast=fast):
-            log.append((v, b, *tt.counts_for(v), fast))
-            return restrict(tt, v, b)
+    def watched(tt, v, b, fast=False, restrict=TermTrie.set_variable):
+        log.append((v, b, *tt.counts_for(v), fast))
+        return restrict(tt, v, b, fast)
 
-        monkeypatch.setattr(TermTrie, name, watched)
+    monkeypatch.setattr(TermTrie, "set_variable", watched)
     return log
 
 

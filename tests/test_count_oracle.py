@@ -8,12 +8,15 @@ brute-force range.  Each test checks the model count, checks every output
 with `satisfies`, and forbids repeated outputs.
 """
 
+from unittest.mock import patch
+
 import pytest
 from hypothesis import given, settings
 
 from conftest import dnfs, inclusion_exclusion_count, wide_dnfs
 from dnfenum.avg import enum_avg
 from dnfenum.core import Dnf, brute_force_models, satisfies
+from dnfenum import kdnf
 from dnfenum.kdnf import KdnfConfig, enum_kdnf_hybrid
 from dnfenum.monotone import MonotoneDnf, enum_monotone_avg, enum_monotone_log
 
@@ -59,12 +62,13 @@ def test_avg_t10_at_large_n(d):
 @settings(max_examples=25)
 @given(wide_dnfs(max_n=150))
 def test_kdnf_hybrid_at_large_n(d):
-    # with the default lambda, a frame of fewer than 3.55 k free variables
-    # goes to the trie DFS, so wide terms would skip the frames; at 0.5 the
+    # with LAMBDA_DEFAULT, a frame of fewer than 3.55 k free variables goes
+    # to the trie DFS, so wide terms would skip the frames; at 0.5 the
     # root frame builds its blocks first.  Each block scans every term, so
     # a frame costs O(k m n) steps, and n stays lower
-    cfg = KdnfConfig.for_width(max(len(t) for t in d.terms), lam=0.5)
-    check_enumeration(d, enum_kdnf_hybrid(d, cfg))
+    cfg = KdnfConfig.for_width(max(len(t) for t in d.terms))
+    with patch.object(kdnf, "LAMBDA_DEFAULT", 0.5):
+        check_enumeration(d, enum_kdnf_hybrid(d, cfg))
 
 
 @settings(max_examples=25)

@@ -19,6 +19,7 @@ from dnfenum.instances import generate
 from dnfenum.instrument import measure
 from dnfenum.kdnf import (
     A,
+    LAMBDA_DEFAULT,
     KdnfConfig,
     choose_min_term,
     enum_kdnf,
@@ -120,7 +121,7 @@ def test_hybrid_small_n_is_pure_trie_dfs():
     # cutoff lambda*k exceeds n, so the root frame is handed over whole
     d = Dnf(6, ((1, 2), (-3, 4), (5, -6)))
     cfg = KdnfConfig.for_width(2)
-    assert cfg.lam * cfg.k > d.n
+    assert LAMBDA_DEFAULT * cfg.k > d.n
     assert list(enum_kdnf_hybrid(d, cfg)) == list(enum_avg(d, "t11"))
 
 

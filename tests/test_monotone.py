@@ -239,7 +239,7 @@ def test_reverse_search_memory_holds_all_models():
         (all_width_terms(6, 5), 7, 225, 13, 10.571428571428571),
         (all_width_terms(8, 4), 163, 5062, 307, 20.478527607361965),
         # 1068 steps, not the 961 of the recursive walk: each x -> 1 re-root
-        # now goes through Trie.strip_first, which charges a re-root the one
+        # now goes through Trie.strip, which charges a re-root the one
         # step that setunion's already paid; the max delay is unchanged
         (Dnf(8, ((1, 2), (3, 4))), 112, 1068, 43, 8.848214285714286),
         # the avg phase undoes merges on its minlen-tracking trie, priced

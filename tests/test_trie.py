@@ -190,7 +190,7 @@ def test_strip_first_merges_and_undoes(seed):
         return
     s = rng.choice(heads)
     before = words_with_data(t)
-    token = t.strip_first(s)
+    token = t.strip(s)
     want: dict[tuple[int, ...], list[int]] = {}
     for w, data in ref.items():
         want.setdefault(w[1:] if w[:1] == (s,) else w, []).extend(data)
@@ -206,12 +206,12 @@ def test_strip_first_moves_the_smaller_side():
     for w in [(0, 1), (0, 2), (0, 3), (1,), (1, 2)]:
         t.insert(w)
     root = t.root
-    token = t.strip_first(0)  # child(0) holds 3 of 5 words: re-root on it
+    token = t.strip(0)  # child(0) holds 3 of 5 words: re-root on it
     assert token[0] == ("root", root)
     assert set(t.iter_words()) == {(1,), (2,), (3,), (1, 2)}
     t.undo(token)
     assert t.root is root
-    token = t.strip_first(1)  # child(1) holds 2 of 5 words: detach it
+    token = t.strip(1)  # child(1) holds 2 of 5 words: detach it
     assert token[0][0] == "detach"
     assert set(t.iter_words()) == {(0, 1), (0, 2), (0, 3), (), (2,)}
     t.undo(token)
@@ -345,11 +345,11 @@ def test_merge_and_undo_match_the_per_word_merge(seed, payload, track):
             op = rng.choice(ops)
             if op == "strip":
                 s = rng.choice(heads)
-                stack.append((new.strip_first(s), ref.strip_first(s)))
+                stack.append((new.strip(s), ref.strip(s)))
             else:
                 v, b = rng.randint(1, n), rng.randint(0, 1)
-                name = "set_variable" if op == "set" else "set_variable_fast"
-                stack.append((getattr(new, name)(v, b), getattr(ref, name)(v, b)))
+                fast = op == "fast"
+                stack.append((new.set_variable(v, b, fast), ref.set_variable(v, b, fast)))
         assert_same_trie(new, ref)
     while stack:
         tok_new, tok_ref = stack.pop()
@@ -388,8 +388,8 @@ def test_merge_undo_costs_the_same_with_and_without_minlen(seed):
             undo_both()
         else:
             v, b = rng.randint(1, n), rng.randint(0, 1)
-            name = rng.choice(["set_variable", "set_variable_fast"])
-            stack.append((getattr(plain, name)(v, b), getattr(track, name)(v, b)))
+            fast = rng.choice([False, True])
+            stack.append((plain.set_variable(v, b, fast), track.set_variable(v, b, fast)))
         check()
     while stack:
         undo_both()
@@ -398,14 +398,40 @@ def test_merge_undo_costs_the_same_with_and_without_minlen(seed):
 
 
 def test_fast_restriction_of_an_absent_literal_leaves_the_node_gauge_alone():
-    # x1 heads no term: set_variable_fast roots on a fresh empty node, which
+    # x1 heads no term: the re-root side roots on a fresh empty node, which
     # stands in for the root it hides and so is not counted
     tt = TermTrie.from_dnf(Dnf(3, ((2,), (3,))), counter=StepCounter())
     assert tt.node_count == tt.counter.nodes == 3
     for _ in range(3):
-        tt.undo(tt.set_variable_fast(1, 1))
+        tt.undo(tt.set_variable(1, 1, fast=True))
         assert tt.node_count == tt.counter.nodes == 3
     assert sorted(tt.decode()) == [(2,), (3,)]
+
+
+@pytest.mark.parametrize("fast,steps", [(False, 3), (True, 1)], ids=["detach", "reroot"])
+def test_bare_literal_absorbs_at_fixed_charges(fast, steps):
+    """x1 := 1 on {x1, x2 x3} leaves a lone empty-word root on both sides:
+    the detach side charges its two probes and the absorption, the re-root
+    side its one probe.  At that tautology root a restriction charges
+    nothing and changes nothing, and counts_for charges its two probes.
+    Undo gives back the words, the counts and the node gauge."""
+    tt = TermTrie.from_dnf(Dnf(3, [(1,), (2, 3)]), counter=StepCounter())
+    ctr = tt.counter
+    before = node_table(tt), tt.node_count, ctr.nodes
+    n0 = ctr.n
+    token = tt.set_variable(1, 1, fast)
+    assert ctr.n - n0 == steps
+    assert node_table(tt) == {(): (True, 1, 0, None, set())}
+    assert (tt.node_count, ctr.nodes) == before[1:]
+    for v, b in [(2, 0), (2, 1), (3, 1)]:
+        n0 = ctr.n
+        assert tt.set_variable(v, b, fast) == []
+        assert ctr.n == n0
+        assert tt.counts_for(v) == (0, 0, 1)
+        assert ctr.n - n0 == 2
+    tt.undo(token)
+    assert (node_table(tt), tt.node_count, ctr.nodes) == before
+    assert sorted(tt.decode()) == [(1,), (2, 3)]
 
 
 def test_release_takes_a_trie_off_the_gauge():
@@ -515,7 +541,7 @@ def test_set_variable_fast_equivalent(d):
     a = TermTrie.from_dnf(d)
     b = TermTrie.from_dnf(d)
     ta = a.set_variable(1, 1)
-    tb = b.set_variable_fast(1, 1)
+    tb = b.set_variable(1, 1, fast=True)
     assert sorted(a.decode()) == sorted(b.decode())
     a.undo(ta)
     b.undo(tb)
@@ -534,7 +560,7 @@ def test_restriction_walk_with_undo(d, data):
         if going_down:
             b = data.draw(st.integers(0, 1))
             fast = b == 1 and data.draw(st.booleans())
-            token = tt.set_variable_fast(next_var) if fast else tt.set_variable(next_var, b)
+            token = tt.set_variable(next_var, b, fast)
             stack.append((token, next_var, b))
             tau[next_var] = b
             next_var += 1
