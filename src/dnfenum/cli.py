@@ -63,6 +63,7 @@ from .monotone import (
     normalize_unate,
 )
 from .setunion import (
+    ORACLE_MAX_SETS,
     SetFamily,
     brute_force_unions,
     dumps_sets,
@@ -90,9 +91,6 @@ EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_ORACLE = 4
 EXIT_PIPE = 141
-
-#: brute-forcing set unions doubles per set; keep the oracle under a second
-ORACLE_MAX_SETS = 20
 
 #: monotone-rs does about n^2 steps per output and keeps every model; at
 #: n = 4096 its second output alone takes 8.4M steps
@@ -329,6 +327,8 @@ def _cmd_gen(argv: list[str]) -> int:
     if args.m is None and args.kind != "all-terms":
         p.error(f"--kind {args.kind} needs --m")
     try:
+        if args.kind != "sets" and args.n < 1:
+            raise ValueError("the .dnf format needs n >= 1")
         obj = generate(args.kind, args.n, args.m, k=args.k, seed=args.seed)
     except ValueError as e:
         print(f"dnfenum: {e}", file=sys.stderr)

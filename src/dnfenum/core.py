@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Iterator, Mapping
 
 Term = tuple[int, ...]
@@ -202,20 +203,27 @@ def compatible(mask: int, tau: PartialAssignment, n: int) -> bool:
 def brute_force_models(d: Dnf) -> set[int]:
     """All models of d by exhaustive scan of the 2^n assignments.
 
-    Vectorised, but still a scan: meant as the ground-truth oracle for tests
-    and --check-oracle, so it deliberately shares no logic with the
-    enumerators.  Refuses n > 24.  numpy is imported here, not with the
-    module, so that runs without the oracle do not pay for it.
+    The ground-truth oracle for tests and --check-oracle: it reads only
+    ``d.terms`` and shares no logic with the enumerators.  A term's models
+    are a 2^n-bit int, grown from the lowest assignment bit up: a free
+    variable doubles the set, a positive literal shifts it, a negative one
+    leaves it.  d's models are the OR of its terms'.  Refuses n > 24.
     """
     if d.n > BRUTE_FORCE_MAX_VARS:
         raise ValueError(f"brute force limited to n <= {BRUTE_FORCE_MAX_VARS}")
-    import numpy as np
-
-    masks = np.arange(1 << d.n, dtype=np.int64)
-    sat = np.zeros(1 << d.n, dtype=bool)
-    for pos, neg in d.term_masks:
-        sat |= (masks & pos == pos) & (masks & neg == 0)
-    return set(np.flatnonzero(sat).tolist())
+    sat = 0
+    for t in d.terms:
+        sign = {abs(lit): lit > 0 for lit in t}
+        p = 1
+        for i in range(d.n):  # bit i of an assignment is variable n - i
+            if (s := sign.get(d.n - i)) is None:
+                p |= p << (1 << i)
+            elif s:
+                p <<= 1 << i
+        sat |= p
+    # one 0/1 byte per assignment, 2^n - 1 first, for compress() to pick from
+    picks = format(sat, f"0{1 << d.n}b").encode().translate(bytes.maketrans(b"01", b"\0\1"))
+    return set(compress(range((1 << d.n) - 1, -1, -1), picks))
 
 
 def parse_rows(text: str, kind: str, make, min_n: int = 0):

@@ -100,8 +100,14 @@ def dumps_sets(fam: SetFamily) -> str:
     return dumps_rows("sets", fam.n, fam.sets)
 
 
+#: brute-forcing set unions doubles per set; keep the oracle under a second
+ORACLE_MAX_SETS = 20
+
+
 def brute_force_unions(fam: SetFamily) -> list[int]:
-    """All achievable unions as sorted masks, by trying every subfamily."""
+    """All achievable unions as sorted masks, by trying every subfamily; refuses m > 20."""
+    if fam.m > ORACLE_MAX_SETS:
+        raise ValueError(f"brute force limited to m <= {ORACLE_MAX_SETS} sets")
     masks = fam.masks()
     out = set()
     for pick in range(1, 1 << fam.m):

@@ -28,7 +28,7 @@ from dnfenum import (
     enum_union_priority,
     enum_unions,
 )
-from dnfenum.cli import ALGOS, _StreamWriter, generate, main
+from dnfenum.cli import ALGOS, GEN_KINDS, _StreamWriter, generate, main
 from dnfenum.core import (
     MAX_INPUT_VARS,
     Dnf,
@@ -208,31 +208,41 @@ def test_every_dnf_algorithm_passes_its_oracle(example_file, algo, capsys):
     capsys.readouterr()
 
 
-LAZY_NUMPY_CHILD = """
+NO_NUMPY_CHILD = """
 import contextlib, io, json, sys
+sys.modules["numpy"] = None  # from here on, any import of numpy fails
 from dnfenum.cli import main
 
-def run(*args):
-    sys.stdin, out = io.StringIO("p dnf 3 2\\n1 2 0\\n-3 0\\n"), io.StringIO()
+def run(text, *args):
+    sys.stdin, out = io.StringIO(text), io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(["-", "--algo", "avg", *args])
-    return [code, out.getvalue(), "numpy" in sys.modules]
+        code = main(["-", *args])
+    return [code, out.getvalue()]
 
-print(json.dumps(["numpy" in sys.modules, run("--count"), run("--check-oracle")]))
+print(json.dumps([run(text, *args) for text, args in json.loads(sys.argv[1])]))
 """
 
+EXAMPLE_SETS = "p sets 3 2\n1 2 0\n3 0\n"  # unions {1,2}, {3} and {1,2,3}
 
-def test_numpy_is_imported_only_by_the_oracle():
-    # numpy serves only the brute-force oracle; loading it with the CLI
-    # would add its import time to the setup of every run
+
+def test_no_run_needs_numpy(monkeypatch, capsys):
+    # the package needs only the standard library, the oracle included
+    runs = [
+        [text, ["--algo", algo, flag]]
+        for text, algo in [(EXAMPLE, "avg"), (EXAMPLE_SETS, "setunion")]
+        for flag in ("--count", "--check-oracle")
+    ]
     proc = subprocess.run(
-        [sys.executable, "-c", LAZY_NUMPY_CHILD], capture_output=True, text=True, env=child_env()
+        [sys.executable, "-c", NO_NUMPY_CHILD, json.dumps(runs)],
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
-    at_import, count_run, oracle_run = json.loads(proc.stdout)
-    assert not at_import
-    assert count_run == [0, "5\n", False]
-    assert oracle_run[0] == 0 and len(oracle_run[1].splitlines()) == 5 and oracle_run[2]
+    got = json.loads(proc.stdout)
+    assert [out for _, out in got[::2]] == ["5\n", "3\n"]
+    for (text, args), (code, out) in zip(runs, got):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert main(["-", *args]) == 0
+        assert code == 0 and out == capsys.readouterr().out
 
 
 def test_avg_slow_mode(example_file, capsys):
@@ -458,7 +468,11 @@ def test_check_oracle_refuses_a_family_over_20_sets(tmp_path, sweep, capsys):
 @pytest.mark.parametrize("sweep", [False, True], ids=["run", "sweep"])
 @pytest.mark.parametrize(
     "fault, message",
-    [("drop", "1 missing and 0 spurious models"), ("repeat", "1 duplicate models")],
+    [
+        ("drop", "1 missing and 0 spurious models"),
+        ("repeat", "1 duplicate models"),
+        ("add", "0 missing and 1 spurious models"),
+    ],
 )
 def test_check_oracle_mismatch_exits_4(example_file, monkeypatch, sweep, fault, message, capsys):
     real = enum_flashlight
@@ -471,6 +485,9 @@ def test_check_oracle_mismatch_exits_4(example_file, monkeypatch, sweep, fault, 
             if fault == "repeat":
                 yield first
                 yield first
+            if fault == "add":
+                yield first
+                yield min(set(range(1 << d.n)) - brute_force_models(d))
             yield from models
 
         return gen()
@@ -588,6 +605,20 @@ def test_gen_and_sweep_refuse_all_terms_above_its_cap(capsys):
     assert main(["sweep", "--algo", "avg", "--kind", "all-terms", "--n", "13",
                  "--sizes", str(3**13 - 1)]) == 3
     assert capsys.readouterr().err.count("limited to n <= 12") == 2
+
+
+@pytest.mark.parametrize("kind", GEN_KINDS)
+def test_gen_writes_only_what_the_run_command_reads(kind, tmp_path, capsys):
+    # n = 0 is the smallest n generate takes; .dnf needs n >= 1, .sets not
+    out = tmp_path / "g.txt"
+    argv = ["gen", "--kind", kind, "--n", "0", "-o", str(out)]
+    code = main(argv if kind == "all-terms" else [*argv, "--m", "0"])
+    if kind == "sets":
+        assert code == 0
+        assert main(["--algo", "setunion", "--count", str(out)]) == 0
+    else:
+        assert code == 3 and not out.exists()
+        assert "dnfenum: the .dnf format needs n >= 1" in capsys.readouterr().err
 
 
 def test_generate_api_matches_kinds():

@@ -1,6 +1,8 @@
 """Formula representation, restriction semantics, parsing, and the oracle."""
 
 import ast
+import itertools
+import random
 from pathlib import Path
 
 import pytest
@@ -144,6 +146,45 @@ def test_brute_force_no_terms():
 def test_brute_force_refuses_large_n():
     with pytest.raises(ValueError):
         brute_force_models(Dnf(BRUTE_FORCE_MAX_VARS + 1, ((1,),)))
+
+
+def scan_models(d: Dnf) -> set[int]:
+    """The models of d from d.terms alone: term by term, every assignment of
+    the variables the term leaves free, spelled as the bit string x_1..x_n."""
+    out = set()
+    for t in d.terms:
+        fixed = {abs(lit): "1" if lit > 0 else "0" for lit in t}
+        free = [v for v in range(1, d.n + 1) if v not in fixed]
+        for bits in itertools.product("01", repeat=len(free)):
+            value = {**fixed, **dict(zip(free, bits))}
+            out.add(int("".join(value[v] for v in range(1, d.n + 1)) or "0", 2))
+    return out
+
+
+def _random_dnf(seed: int) -> Dnf:
+    rng = random.Random(seed)
+    n = rng.randint(1, 10)
+    terms = [
+        [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), rng.randint(1, n))]
+        for _ in range(rng.randint(0, 8))
+    ]
+    return Dnf(n, terms)
+
+
+ORACLE_CASES = [
+    pytest.param(Dnf(0, []), id="n0-no-terms"),
+    pytest.param(Dnf(0, [()]), id="n0-empty-term"),
+    pytest.param(Dnf(5, [()]), id="tautology"),
+    pytest.param(Dnf(7, []), id="m0"),
+    # 2^24 assignments, 16 of them models: the top of the oracle's range
+    pytest.param(Dnf(24, [[v if v % 3 else -v for v in range(3, 23)]]), id="n24-width20"),
+    *(pytest.param(_random_dnf(seed), id=f"random-{seed}") for seed in range(24)),
+]
+
+
+@pytest.mark.parametrize("d", ORACLE_CASES)
+def test_brute_force_matches_an_independent_scan(d):
+    assert brute_force_models(d) == scan_models(d)
 
 
 @given(dnfs(max_n=8, max_m=8), st.data())

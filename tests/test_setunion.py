@@ -91,6 +91,12 @@ def test_empty_family():
     assert brute_force_unions(SetFamily(3, [])) == []
 
 
+def test_brute_force_unions_refuses_more_than_20_sets():
+    with pytest.raises(ValueError, match="m <= 20"):
+        brute_force_unions(SetFamily(21, [(e,) for e in range(1, 22)]))
+    assert len(brute_force_unions(SetFamily(20, [(e,) for e in range(1, 21)]))) == 2**20 - 1
+
+
 def test_ruling_in_can_retract_later():
     # committing 1 to the union via {1,2} and then ruling 2 out must abandon
     # the branch: the only witness for 1 is gone
