@@ -5,18 +5,19 @@ Three strategies with different delay profiles:
 * enum_union_priority: every term runs its own Gray walk; a candidate is
   output only by the last term that satisfies it.  No repetitions, but the
   delay between outputs can grow with the number of suppressed candidates.
-* enum_union_ordered: per-term lexicographic walks merged through a frontier
-  trie, outputs in increasing bitstring order.  Delay O(n * m).
+* enum_union_ordered: per-term lexicographic walks merged through a heap of
+  candidate masks, outputs in increasing bitstring order.  Delay O(n * m).
 * enum_flashlight: depth-first assignment search pruned by an exact
   extendability test (some term not yet falsified).  Delay O(n * size).
 """
 
 from __future__ import annotations
 
-from .core import Dnf, bits_word
+from heapq import heappop, heappush
+
+from .core import Dnf
 from .graycode import GrayState, term_start_mask
 from .instrument import StepCounter
-from .trie import Trie
 
 
 def enum_union_priority(d: Dnf, *, counter: StepCounter | None = None):
@@ -68,59 +69,51 @@ def enum_union_priority(d: Dnf, *, counter: StepCounter | None = None):
 def enum_union_ordered(d: Dnf, *, counter: StepCounter | None = None):
     """Merge per-term lexicographic walks; outputs in increasing order.
 
-    A frontier trie over model bitstrings holds the current candidate of
-    every unfinished term, with the owning term ids on the leaf.  Each round
-    extracts the leftmost word, emits it once, and advances exactly the
-    terms that produced it.
+    A heap of distinct candidate masks holds the current candidate of every
+    unfinished term, and a dict maps each candidate to the terms at it.
+    Each round pops the smallest candidate, emits it once, and advances
+    exactly the terms that produced it.  Term i's next candidate is
+    base | (((cur | ~F) + 1) & F), with F the mask of its free variables:
+    the free bits count up by one, and the walk ends when they wrap to 0.
+    A frontier insert or pop reads one n-bit key and costs n + 1 steps;
+    writing a candidate costs one step per free bit plus one, and filing
+    its term one more.  The node gauge counts one unit per live frontier
+    entry.
     """
     ctr = counter if counter is not None else StepCounter()
-    n, m = d.n, d.m
-    starts = []
-    frees = []
-    for t in d.terms:
-        start, free = term_start_mask(t, n, ctr)
-        starts.append(start)
-        frees.append(free)
-    idx = [0] * m  # next free-bits pattern per term, MSB on lowest var
-    frontier = Trie(2, counter=ctr)
+    n = d.n
+    full = (1 << n) - 1
+    free_masks = [full & ~(pos | neg) for pos, neg in d.term_masks]
+    heap: list[int] = []
+    owners: dict[int, list[int]] = {}
 
-    def term_mask(i: int) -> int:
-        mask = starts[i]
-        f = frees[i]
-        c = idx[i]
-        for j, shift in enumerate(f):
-            if (c >> (len(f) - 1 - j)) & 1:
-                mask |= 1 << shift
-        ctr.n += len(f) + 1
-        return mask
-
-    def put(i: int) -> None:
-        mask = term_mask(i)
-        fresh, leaf = frontier.insert_get(bits_word(mask, n))
-        if fresh is not None:
-            leaf.data = [i]
+    def put(mask: int, i: int) -> None:
+        # write the candidate's free bits, read its key, file the term
+        ctr.n += free_masks[i].bit_count() + n + 3
+        at = owners.get(mask)
+        if at is None:
+            owners[mask] = [i]
+            heappush(heap, mask)
+            ctr.nodes += 1
         else:
-            leaf.data.append(i)
-        ctr.n += 1
+            at.append(i)
 
-    for i in range(m):
-        put(i)
+    for i, (pos, _) in enumerate(d.term_masks):
+        ctr.n += n + 1  # read the term
+        put(pos, i)
 
     def gen():
-        while len(frontier):
-            word, leaf = frontier.min_word()
-            owners = leaf.data
-            leaf.data = None
-            frontier.delete(word)
-            mask = 0
-            for s in word:
-                mask = mask << 1 | s
-            ctr.n += n
+        while heap:
+            mask = heappop(heap)
+            ctr.n += n + 1
+            ctr.nodes -= 1
+            ctr.charge_output(mask, n)
             yield mask
-            for i in owners:
-                idx[i] += 1
-                if idx[i] < (1 << len(frees[i])):
-                    put(i)
+            for i in owners.pop(mask):
+                f = free_masks[i]
+                nxt = ((mask | ~f) + 1) & f
+                if nxt:
+                    put(mask & ~f | nxt, i)
 
     return gen()
 

@@ -92,8 +92,8 @@ EXIT_INPUT = 3
 EXIT_ORACLE = 4
 EXIT_PIPE = 141
 
-#: monotone-rs does about n^2 steps per output and keeps every model; at
-#: n = 4096 its second output alone takes 8.4M steps
+#: monotone-rs is charged about n^2 steps per output and keeps every model;
+#: at n = 4096 its second output alone is charged 16.8M steps
 RS_MAX_VARS = 4096
 
 

@@ -145,11 +145,6 @@ def bits_from_mask(mask: int, n: int) -> str:
     return format(mask, f"0{n}b") if n else ""
 
 
-def bits_word(mask: int, n: int) -> tuple[int, ...]:
-    """The mask as a word of n bits, variable 1 first: a binary trie key."""
-    return tuple((mask >> (n - 1 - j)) & 1 for j in range(n))
-
-
 def satisfies(d: Dnf, assignment: int) -> bool:
     """True iff the assignment mask is a model of d."""
     for pos, neg in d.term_masks:

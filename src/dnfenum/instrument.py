@@ -37,7 +37,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 
 class StepCounter:
-    """Mutable step tally plus a coarse gauge of allocated trie nodes.
+    """Mutable step tally plus a coarse gauge of allocated trie nodes (or
+    frontier entries and stored models, for enumerators that hold no trie).
 
     It also remembers the last model charged through charge_output, so
     enumerators nested on one counter price their outputs as one stream.

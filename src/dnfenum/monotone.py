@@ -3,8 +3,8 @@
 Monotone structure buys three things over the general algorithms:
 
 * reverse search (enum_monotone_rs): models of each term form a subset
-  lattice walked root-to-leaves; a model trie of everything output so far
-  prunes whole subtrees, giving delay O(n^2) independent of the term count,
+  lattice walked root-to-leaves; a set of everything output so far prunes
+  whole subtrees, giving delay O(n^2) independent of the term count,
   at the price of storing every model.
 * enum_monotone_avg: the trie-guided DFS needs no adaptation — positive
   formulas simply never branch on a negated literal.
@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .avg import MODE_FAST, _trie_dfs, enum_avg
-from .core import Dnf, Term, bits_word
+from .core import Dnf, Term
 from .graycode import term_start_mask
 from .instrument import StepCounter
 from .trie import TermTrie, Trie
@@ -101,20 +101,22 @@ def minimize_monotone(md: MonotoneDnf, *, counter: StepCounter | None = None) ->
 
 
 def enum_monotone_rs(md, *, counter: StepCounter | None = None):
-    """Reverse search over per-term subset lattices with a model trie.
+    """Reverse search over per-term subset lattices with a set of models.
 
     For each term in order, walks the tree of free-variable subsets rooted
-    at the term's characteristic model.  A successor already present in the
-    model trie is discarded together with its whole subtree (its models all
-    belong to earlier terms); fresh successors are pushed on a stack in
-    reverse, so the walk is depth first in successor order and never
-    revisits a node.  Every visit outputs.
+    at the term's characteristic model.  A successor already in the set of
+    models output so far is discarded together with its whole subtree (its
+    models all belong to earlier terms); fresh successors are pushed on a
+    stack in reverse, so the walk is depth first in successor order and
+    never revisits a node.  Every visit outputs.  Each store probe or
+    insert reads one n-bit key and costs n + 1 steps; the node gauge counts
+    one unit per stored model.
     """
     ctr = counter if counter is not None else StepCounter()
     md = minimize_monotone(_as_mono(md), counter=ctr)
     d = md.dnf
     n = d.n
-    model_trie = Trie(2, counter=ctr)
+    seen: set[int] = set()
 
     def gen():
         for t in d.terms:
@@ -123,16 +125,18 @@ def enum_monotone_rs(md, *, counter: StepCounter | None = None):
             stack = [(base, -1)]
             while stack:
                 mask, last = stack.pop()
-                fresh = model_trie.insert(bits_word(mask, n))
-                if not fresh:
+                ctr.n += n + 1
+                if mask in seen:
                     raise RuntimeError("reverse-search visit repeated a model")
+                seen.add(mask)
+                ctr.nodes += 1
                 ctr.charge_output(mask, n)
                 yield mask
                 succs = []
                 for j in range(last + 1, len(bits)):
                     cand = mask | bits[j]
-                    ctr.n += 1
-                    if model_trie.search(bits_word(cand, n)) is None:
+                    ctr.n += n + 2  # form the candidate, probe the store
+                    if cand not in seen:
                         succs.append((cand, j))
                 stack.extend(reversed(succs))
 

@@ -201,21 +201,6 @@ class Trie:
                     p.minlen = r
         return node, node
 
-    def search(self, word: Sequence[int]):
-        """The leaf node if the word is present, else None."""
-        self._check_word(word)
-        node = self.root
-        steps = 1
-        for s in word:
-            node = self._get(node, s)
-            steps += 1
-            if node is None:
-                break
-        self.counter.n += steps
-        if node is not None and node.word:
-            return node
-        return None
-
     def delete(self, word: Sequence[int]) -> bool:
         self._check_word(word)
         ctr = self.counter
@@ -276,21 +261,6 @@ class Trie:
             if kid.word:
                 yield tuple(syms)
             stack.append(iter(self._child_items(kid)))
-
-    def min_word(self) -> tuple[tuple[int, ...], _Node] | None:
-        """Lexicographically smallest word and its leaf, or None if empty."""
-        node = self.root
-        out: list[int] = []
-        ctr = self.counter
-        while True:
-            ctr.n += 1
-            if node.word:
-                return tuple(out), node
-            s = self._min_sym(node)
-            if s is None:
-                return None
-            out.append(s)
-            node = self._get(node, s)
 
     # -- strip and merge ---------------------------------------------------
 

@@ -8,7 +8,7 @@ from dnfenum.classic import enum_flashlight, enum_union_ordered, enum_union_prio
 from dnfenum.core import Dnf, brute_force_models, mask_from_bits, parse_dnf
 from dnfenum.graycode import enum_term_models
 from dnfenum.instances import generate
-from dnfenum.instrument import measure
+from dnfenum.instrument import StepCounter, measure
 
 EXAMPLE = parse_dnf("p dnf 3 2\n1 2 0\n-3 0\n")
 
@@ -78,11 +78,23 @@ def test_flashlight_delay_tracks_formula_size(d):
 
 
 def test_union_ordered_step_counts_are_pinned():
-    # the frontier trie's charges, recorded before the trie moved to one
-    # child layout
+    # each frontier insert or pop costs n + 1 steps; the binary frontier
+    # trie the heap replaced charged 90,713 steps with a max delay of 188
     d = generate("random", 10, 24, seed=3)
     _, stats = measure(lambda c: enum_union_ordered(d, counter=c))
     assert stats.n_models == 980
-    assert stats.total_steps == 90713
-    assert stats.max_delay_steps == 188
-    assert stats.avg_delay_steps == pytest.approx(91.7408163265306, rel=1e-12)
+    assert stats.total_steps == 66825
+    assert stats.max_delay_steps == 159
+    assert stats.avg_delay_steps == pytest.approx(67.48775510204082, rel=1e-12)
+
+
+def test_union_ordered_gauge_counts_live_frontier_entries():
+    # one unit per distinct candidate on the heap: at most one per term,
+    # and none once every walk has ended
+    d = generate("random", 10, 24, seed=3)
+    ctr = StepCounter()
+    models = enum_union_ordered(d, counter=ctr)
+    assert ctr.nodes == len({pos for pos, _ in d.term_masks})
+    for _ in models:
+        assert ctr.nodes <= d.m
+    assert ctr.nodes == 0

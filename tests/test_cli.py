@@ -407,7 +407,8 @@ def test_lambda_is_not_a_flag(example_file, sweep, capsys):
 
 @pytest.mark.parametrize("sweep", [False, True], ids=["run", "sweep"])
 def test_monotone_rs_refuses_n_above_4096(tmp_path, sweep, capsys):
-    # about n^2 steps an output: at n = 4096 the second output takes seconds
+    # about n^2 steps an output: at n = 4096 the second output is charged
+    # 16.8M steps
     if sweep:
         args = ["sweep", "--kind", "monotone", "--n", "4097", "--sizes", "1"]
     else:

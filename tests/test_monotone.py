@@ -1,14 +1,16 @@
 """Positive-term specializations: reverse search, delegation, complement walk."""
 
+import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 
 from conftest import monotone_dnfs, random_dnf, shallow_recursion_limit
 from dnfenum.avg import MODE_FAST, enum_avg
-from dnfenum.core import Dnf, brute_force_models, mask_from_bits, satisfies
+from dnfenum.core import Dnf, brute_force_models, make_term, mask_from_bits, satisfies
 from dnfenum.instances import generate
 from dnfenum.instrument import measure
 from dnfenum import monotone
@@ -20,13 +22,10 @@ from dnfenum.monotone import (
     minimize_monotone,
     normalize_unate,
 )
-from dnfenum.trie import Trie
 
 
 def all_width_terms(n: int, w: int) -> Dnf:
     """Every term of width w over n variables."""
-    import itertools
-
     return Dnf(n, tuple(tuple(c) for c in itertools.combinations(range(1, n + 1), w)))
 
 
@@ -137,20 +136,21 @@ def test_monotone_avg_delegates_to_trie_dfs():
 
 
 def test_discarded_nodes_were_already_output(monkeypatch):
-    """A successor is only skipped when its model sits in the trie, i.e. the
-    stream already contains it -- that is what makes pruning sound."""
+    """A successor is only skipped when its model sits in the store, i.e.
+    the stream already contains it -- that is what makes pruning sound."""
     emitted: list[int] = []
     discards: list[tuple[int, int]] = []
-    search = Trie.search
 
-    def watched(trie, word):
-        # the model trie's words are bit strings; a hit discards the successor
-        leaf = search(trie, word)
-        if leaf is not None:
-            discards.append((int("".join(map(str, word)), 2), len(emitted)))
-        return leaf
+    class WatchedSet(set):
+        # the store's hits are exactly the discarded successors
+        def __contains__(self, mask):
+            hit = super().__contains__(mask)
+            if hit:
+                discards.append((mask, len(emitted)))
+            return hit
 
-    monkeypatch.setattr(Trie, "search", watched)
+    # module globals shadow the builtin, so the store becomes a WatchedSet
+    monkeypatch.setattr(monotone, "set", WatchedSet, raising=False)
     rng = random.Random(0xD15C)
     checked = 0
     for _ in range(40):
@@ -165,6 +165,22 @@ def test_discarded_nodes_were_already_output(monkeypatch):
             assert mk in set(emitted[:k])
             checked += 1
     assert checked > 50
+
+
+def test_reverse_search_stores_each_model_in_under_150_bytes():
+    # 40 random monotone terms of 2-6 variables over n = 22; the binary
+    # model trie this store replaced took about 400 B per model here
+    rng = random.Random(9)
+    terms = [make_term(rng.sample(range(1, 23), rng.randint(2, 6))) for _ in range(40)]
+    md = MonotoneDnf(Dnf(22, terms))
+    tracemalloc.start()
+    try:
+        k = sum(1 for _ in itertools.islice(enum_monotone_rs(md), 50_000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert k == 50_000
+    assert peak / k < 150
 
 
 def log_switches(monkeypatch) -> list:
@@ -227,10 +243,10 @@ def test_monotone_log_peak_counts_only_live_complement_tries():
 
 
 def test_reverse_search_memory_holds_all_models():
+    # the gauge counts one unit per stored model
     d = all_width_terms(8, 4)
     models, stats = measure(lambda ctr: enum_monotone_rs(MonotoneDnf(d), counter=ctr))
-    assert stats.peak_aux_memory_estimate >= stats.n_models
-    assert stats.peak_aux_memory_estimate <= 2 * (d.n + 1) * stats.n_models
+    assert stats.peak_aux_memory_estimate == stats.n_models
 
 
 @pytest.mark.parametrize(
@@ -270,11 +286,12 @@ def test_complement_walk_needs_no_recursion():
 
 
 def test_rs_step_counts_are_pinned():
-    # the model trie's charges, recorded before the trie moved to one child
-    # layout
+    # each store probe or insert costs n + 1 steps; the binary model trie
+    # the store replaced charged 12,256 steps with a max delay of 90, its
+    # probes stopping at the first missing node
     md = MonotoneDnf(generate("monotone", 9, 14, seed=5))
     _, stats = measure(lambda c: enum_monotone_rs(md, counter=c))
     assert stats.n_models == 459
-    assert stats.total_steps == 12256
-    assert stats.max_delay_steps == 90
-    assert stats.avg_delay_steps == pytest.approx(26.612200435729847, rel=1e-12)
+    assert stats.total_steps == 11763
+    assert stats.max_delay_steps == 100
+    assert stats.avg_delay_steps == pytest.approx(25.538126361655774, rel=1e-12)

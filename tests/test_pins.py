@@ -84,8 +84,10 @@ CASES = _cases()
 #: (stream md5, step tuple) per case.  Recorded before enumerators took the
 #: tries they drop off the node gauge, which moves no stream and no step
 #: count; the two setunion step tuples were recorded once its cover counts
-#: went bit-sliced, and the kdnf and kdnf-hybrid ones once kdnf paced its
-#: construction by a per-frame bound: both moved step counts and no stream
+#: went bit-sliced, the kdnf and kdnf-hybrid ones once kdnf paced its
+#: construction by a per-frame bound, and the union-ordered and monotone-rs
+#: ones once a heap and a set of int masks replaced their binary tries: each
+#: moved step counts and no stream
 PINS = {
     "avg-bits": ("4110d857e5d51d45681f73bc02aeb09e", (6668, 872, 242, 7.49197247706422, 135)),
     "avg-flips": ("00675f7aa5526d06b16a282df244bbc2", (6668, 872, 242, 7.49197247706422, 135)),
@@ -113,16 +115,16 @@ PINS = {
     "monotone-log-unate-flips": ("64918e522bb72175f5c3ea4f846ac63f", (28001, 3072, 426, 9.075846354166666, 120)),
     "monotone-log-wide-bits": ("d4401c15ec3a94d120d45f082ebd369f", (24047, 1984, 259, 11.904233870967742, 429)),
     "monotone-log-wide-flips": ("300ab7ac18f1fbff6d3b24c5fe3af4a6", (24047, 1984, 259, 11.904233870967742, 429)),
-    "monotone-rs-bits": ("941d887c987bd45dd3cd8c673fe0ec6f", (93774, 3072, 128, 30.518229166666668, 22)),
-    "monotone-rs-flips": ("2aeeb5f2fb98d70633c3501517f8a778", (93774, 3072, 128, 30.518229166666668, 22)),
-    "monotone-rs-unate-bits": ("ed1c0fb149913135ad10971856e46dc6", (93774, 3072, 128, 30.518229166666668, 22)),
-    "monotone-rs-unate-flips": ("5bef844b9fe6235948e2d5ccaa6220ca", (93774, 3072, 128, 30.518229166666668, 22)),
+    "monotone-rs-bits": ("941d887c987bd45dd3cd8c673fe0ec6f", (90681, 3072, 169, 29.511393229166668, 22)),
+    "monotone-rs-flips": ("2aeeb5f2fb98d70633c3501517f8a778", (90681, 3072, 169, 29.511393229166668, 22)),
+    "monotone-rs-unate-bits": ("ed1c0fb149913135ad10971856e46dc6", (90681, 3072, 169, 29.511393229166668, 22)),
+    "monotone-rs-unate-flips": ("5bef844b9fe6235948e2d5ccaa6220ca", (90681, 3072, 169, 29.511393229166668, 22)),
     "setunion-bits": ("52b97e1a05c4172c5feb4cc3061ffec1", (3069, 32, 296, 92.75, 101)),
     "setunion-flips": ("f20026e01d1822420a761f71c4c2306b", (3069, 32, 296, 92.75, 101)),
     "term-gray-bits": ("75263c6055be74d42137e954a65e7a7d", (265, 128, 2, 1.984375, 11)),
     "term-gray-flips": ("d8219eb768076055597f6f704adf575a", (265, 128, 2, 1.984375, 11)),
-    "union-ordered-bits": ("4110d857e5d51d45681f73bc02aeb09e", (67677, 872, 144, 77.12729357798165, 422)),
-    "union-ordered-flips": ("00675f7aa5526d06b16a282df244bbc2", (67677, 872, 144, 77.12729357798165, 422)),
+    "union-ordered-bits": ("4110d857e5d51d45681f73bc02aeb09e", (45092, 872, 97, 51.31880733944954, 342)),
+    "union-ordered-flips": ("00675f7aa5526d06b16a282df244bbc2", (45092, 872, 97, 51.31880733944954, 342)),
     "union-priority-bits": ("00843fe15ad6bd8c35347ef9e5aefc62", (8807, 872, 123, 9.934633027522937, 144)),
     "union-priority-flips": ("0b256bcad0adfc1d01f1623571a35a0f", (8807, 872, 123, 9.934633027522937, 144)),
 }

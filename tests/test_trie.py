@@ -31,19 +31,18 @@ def test_insert_search_delete_basics():
     assert t.insert((1, 0))
     assert t.insert((1, 1))
     assert len(t) == 3
-    assert t.search((1, 0)) is not None
-    assert t.search((0,)) is None
+    assert set(t.iter_words()) == {(1, 1, 0), (1, 0), (1, 1)}
     assert not t.delete((0, 0))
     assert t.delete((1, 1, 0))
-    assert t.search((1, 1, 0)) is None
-    assert t.search((1, 1)) is not None  # prefix word survives deleting its extension
+    # the prefix word survives deleting its extension
+    assert set(t.iter_words()) == {(1, 0), (1, 1)}
     assert len(t) == 2
 
 
 def test_empty_word():
     t = Trie(3)
     assert t.insert(())
-    assert t.search(()) is not None
+    assert list(t.iter_words()) == [()]
     assert len(t) == 1
     assert t.delete(())
     assert len(t) == 0
@@ -79,19 +78,16 @@ def test_differential_against_reference_set(alphabet):
     ref: set[tuple[int, ...]] = set()
     for i in range(10_000):
         w = tuple(rng.choice(pool) for _ in range(rng.randrange(6)))
-        op = rng.randrange(3)
-        if op == 0:
+        if rng.randrange(2):
             assert t.insert(w) == (w not in ref)
             ref.add(w)
-        elif op == 1:
-            assert (t.search(w) is not None) == (w in ref)
         else:
             assert t.delete(w) == (w in ref)
             ref.discard(w)
         assert len(t) == len(ref)
         if i % 500 == 0:
             assert subtree_size(t, t.root) == len(ref)
-            assert (t.min_word() or (None,))[0] == min(ref, default=None)
+            assert {p for p, row in node_table(t).items() if row[0]} == ref
     words = list(t.iter_words())
     assert len(words) == len(set(words))
     assert set(words) == ref
@@ -116,20 +112,6 @@ def test_iter_words_order_is_insertion_order():
     assert list(t.iter_words()) == [(3,), (3, 1), (3, 0), (9,), (7,)]
 
 
-def test_min_word():
-    t = Trie(5)
-    assert t.min_word() is None
-    for w in [(4, 1), (2, 3, 0), (2, 3), (3,)]:
-        t.insert(w)
-    word, leaf = t.min_word()
-    assert word == (2, 3)
-    assert leaf.word
-    t.delete((2, 3))
-    assert t.min_word()[0] == (2, 3, 0)
-    t.insert(())
-    assert t.min_word()[0] == ()
-
-
 def test_array_ops_touch_linearly_many_nodes():
     """Each operation's counted steps stay within 4x the word length."""
     rng = random.Random(7)
@@ -137,7 +119,7 @@ def test_array_ops_touch_linearly_many_nodes():
     t = Trie(8, counter=ctr)
     for _ in range(500):
         w = tuple(rng.randrange(8) for _ in range(rng.randrange(12)))
-        for op in (t.insert, t.search, t.delete):
+        for op in (t.insert, t.delete):
             before = ctr.n
             op(w)
             assert ctr.n - before <= 4 * (len(w) + 1)
@@ -171,7 +153,7 @@ def test_term_trie_node_memory_is_independent_of_the_alphabet():
 
 
 def words_with_data(t: Trie) -> dict[tuple[int, ...], list]:
-    return {w: sorted(t.search(w).data) for w in t.iter_words()}
+    return {path: sorted(row[3]) for path, row in node_table(t).items() if row[0]}
 
 
 @pytest.mark.parametrize("seed", range(60))
