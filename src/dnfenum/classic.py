@@ -25,7 +25,9 @@ def enum_union_priority(d: Dnf, *, counter: StepCounter | None = None):
 
     Round r hands out the r-th model of every term still walking; a model
     is emitted only if no later term also satisfies it, so the last
-    satisfying term owns each model.  One counted step per ownership probe.
+    satisfying term owns each model.  One counted step per ownership probe,
+    plus one per candidate, and each owned candidate is charged as an
+    output.
     """
     ctr = counter if counter is not None else StepCounter()
     n, m = d.n, d.m
@@ -58,6 +60,7 @@ def enum_union_priority(d: Dnf, *, counter: StepCounter | None = None):
                         break
                 ctr.n += probes + 1
                 if owned:
+                    ctr.charge_output(cand, n)
                     yield cand
                 if w.remaining():
                     nxt_live.append(i)
@@ -159,8 +162,8 @@ def enum_flashlight(d: Dnf, *, counter: StepCounter | None = None):
                 ctr.n += len(lst) + 1
                 if c > 0:
                     if v == n:
+                        ctr.charge_output(mask, n)
                         yield mask
-                        ctr.n += 1
                     else:
                         v += 1
                         trying = 0

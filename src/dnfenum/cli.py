@@ -15,9 +15,11 @@ Exit codes: 0 success, 2 usage error, 3 unreadable or malformed input (a
 header n, or a gen/sweep --n, above ``MAX_INPUT_VARS`` = 2^16 counts as
 malformed), an input the chosen algorithm refuses (``monotone-rs`` above
 ``RS_MAX_VARS`` = 4096 variables) or an unwritable output file, 4 oracle
-mismatch under ``--check-oracle``, 141 stdout closed by its reader (as in
-``| head``; 128 + SIGPIPE, the status a shell reports for a writer killed
-by that signal).  The last ends the run quietly, with no traceback.
+mismatch under ``--check-oracle``, 5 out of memory (the one stderr line
+names the algorithm and suggests ``--limit``), 141 stdout closed by its
+reader (as in ``| head``; 128 + SIGPIPE, the status a shell reports for a
+writer killed by that signal).  The last two end the run without a
+traceback.
 
 Output formats: ``bits`` prints one full bit string per model; ``flips``
 prints the first model as a bit string and every later model as the
@@ -90,6 +92,7 @@ GEN_KINDS = ("random", "monotone", "kdnf", "all-terms", "sets")
 EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_ORACLE = 4
+EXIT_MEMORY = 5
 EXIT_PIPE = 141
 
 #: monotone-rs is charged about n^2 steps per output and keeps every model;
@@ -410,7 +413,17 @@ def main(argv: list[str] | None = None) -> int:
         # the null device so that the flush at interpreter exit cannot fail
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
-    return code
+    except MemoryError:
+        pass  # reported below, once the traceback has let the run's memory go
+    else:
+        return code
+    # name the algorithm, if the command has one (gen has none)
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--algo")
+    algo = p.parse_known_args(args)[0].algo
+    hint = f" in --algo {algo}; --limit N stops the run after N models" if algo else ""
+    print(f"dnfenum: out of memory{hint}", file=sys.stderr)
+    return EXIT_MEMORY
 
 
 if __name__ == "__main__":

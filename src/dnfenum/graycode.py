@@ -2,17 +2,19 @@
 
 A term with k literals over n variables has 2^(n-k) models.  Starting from
 the model where every free variable is 0, each subsequent model differs in
-exactly one free variable, so emitting a model costs a couple of counted
-steps instead of n.  The flip schedule is the standard reflected one: after
-i models the next flip lands on slot trailing_zeros(i+1).
+exactly one free variable, so emitting a model costs 4 counted steps
+instead of about n: 2 for the flip and 2 for charging a one-bit output.
+The flip schedule is the standard reflected one: after i models the next
+flip lands on slot trailing_zeros(i+1).
 
 A walk holds the shift amount of each free variable (its bit is
 ``1 << shift``) and builds the single-bit mask of slot j only when the walk
 first reaches it, at output 2^j, so a walk that has made c outputs holds
 about log2(c) masks however wide the alphabet is.  Once nothing else runs
 between outputs, :meth:`GrayState.runs` hands out the rest of the walk as
-runs (see :mod:`dnfenum.instrument`), whole blocks of models made in one
-loop; :func:`enum_term_models` and the kdnf frames both end that way.
+runs (see :mod:`dnfenum.instrument`), lists of models made in one loop and
+charged RUN_PRICE each; :func:`enum_term_models` and the kdnf frames both
+end that way.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from itertools import chain
 from typing import Iterator
 
 from .core import Dnf, Term
-from .instrument import SINK_BLOCK, Models, Run, StepCounter
+from .instrument import SINK_BLOCK, Models, StepCounter
 
 
 class GrayState:
@@ -68,10 +70,10 @@ class GrayState:
         ctr.n += 2
         return self.take(1)[0]
 
-    def runs(self, price: int) -> Iterator[Run]:
-        """The rest of the walk as runs of up to SINK_BLOCK models at `price` each."""
+    def runs(self) -> Iterator[list[int]]:
+        """The rest of the walk as runs of up to SINK_BLOCK models, not yet charged."""
         while left := self.remaining():
-            yield Run(self.take(min(left, SINK_BLOCK)), price)
+            yield self.take(min(left, SINK_BLOCK))
 
 
 def term_start_mask(t: Term, n: int, ctr: StepCounter) -> tuple[int, list[int]]:
@@ -91,14 +93,15 @@ def term_start_mask(t: Term, n: int, ctr: StepCounter) -> tuple[int, list[int]]:
 def enum_term_models(t: Term, n: int, *, counter: StepCounter | None = None) -> Models:
     """Enumerate all models of a single term in Gray order.
 
-    The start mask is assembled before the iterator is handed back, so
-    every delay afterwards is a constant number of counted steps: each
-    model after the first comes in a run priced at the 2 steps of a flip.
+    The start mask is assembled and charged before the iterator is handed
+    back, so every delay afterwards is a constant number of counted steps:
+    each model after the first comes in a run at RUN_PRICE.
     """
     ctr = counter if counter is not None else StepCounter()
     start, free = term_start_mask(t, n, ctr)
+    ctr.charge_output(start, n)
     gs = GrayState(start, free)
-    return Models(chain((gs.mask,), gs.runs(2)), ctr)
+    return Models(chain((gs.mask,), gs.runs()), ctr)
 
 
 def enum_single_term_dnf(d: Dnf, *, counter: StepCounter | None = None) -> Models:

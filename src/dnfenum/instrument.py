@@ -7,25 +7,26 @@ counter is incremented at a fixed set of points:
 * each trie node visited or created,
 * each bookkeeping counter update (falsified-literal counts, live-term
   counts, subtree sizes),
-* each register/bit write while assembling an output (measured as the
-  Hamming distance to the previously emitted model),
+* each output, by :meth:`StepCounter.charge_output`: the bits written
+  (the Hamming distance to the previous output) plus one,
 * each Gray code flip,
 * each term comparison in direct term scans (weighted by term width).
 
-Identical runs produce identical counts; nothing here reads the clock
-except the informational wall_ns field.
+Every enumerator charges every output through charge_output, or hands it
+out in a run, whose fold below charges it the same.  Identical runs
+produce identical counts; nothing here reads the clock except the
+informational wall_ns field.
 
-Runs.  Where every output costs the same fixed number of steps (a Gray
-walk with nothing else to do between its flips), an enumerator may yield a
-:class:`Run` in place of single masks: a nonempty list of at most
-SINK_BLOCK consecutive models plus the uniform ``price`` in steps of each
-one, charged on the counter by no one yet.  Such an enumerator returns a
-:class:`Models`, whose ``items`` is the raw stream of masks and runs.
-Iterating a Models gives plain int masks and charges each run output on
-the counter as it is handed out, so a caller that iterates sees exactly
-the per-output counter values of an enumerator that charged every output
-itself.  :func:`measure` reads ``items`` instead and folds each run into
-its tallies with a few additions.
+Runs.  A Gray walk with nothing else to do between its flips makes each
+output at RUN_PRICE steps: 2 for the flip and 2 for charge_output's one-bit
+change.  An enumerator may then yield a run in place of single masks: a
+nonempty list of at most SINK_BLOCK consecutive models, not yet charged.
+Such an enumerator returns a :class:`Models`, whose ``items`` is the raw
+stream of masks and runs.  Iterating a Models gives plain int masks and
+charges each run output on the counter as it is handed out, so a caller
+that iterates sees exactly the per-output counter values of an enumerator
+that charged every output itself.  :func:`measure` reads ``items`` instead
+and folds each run into its tallies with a few additions.
 """
 
 from __future__ import annotations
@@ -33,14 +34,15 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, asdict
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator
 
 
 class StepCounter:
     """Mutable step tally plus a coarse gauge of allocated trie nodes (or
     frontier entries and stored models, for enumerators that hold no trie).
 
-    It also remembers the last model charged through charge_output, so
+    Every enumerator charges each of its outputs through charge_output (or
+    a run, at RUN_PRICE), which remembers the last model charged, so
     enumerators nested on one counter price their outputs as one stream.
     """
 
@@ -89,18 +91,16 @@ class DelayStats:
 SINK_BLOCK = 4096
 
 
-class Run(NamedTuple):
-    """Consecutive models that each cost ``price`` steps, not yet charged."""
-
-    masks: list[int]
-    price: int
+#: steps of each output in a run: a Gray flip (2) plus charge_output's
+#: one-bit change (2)
+RUN_PRICE = 4
 
 
 def _flatten(items: Iterable, ctr: StepCounter) -> Iterator[int]:
+    price = RUN_PRICE
     for item in items:
-        if type(item) is Run:
-            price = item.price
-            for mask in item.masks:
+        if type(item) is list:
+            for mask in item:
                 ctr.n += price
                 ctr.last = mask
                 yield mask
@@ -111,9 +111,9 @@ def _flatten(items: Iterable, ctr: StepCounter) -> Iterator[int]:
 class Models:
     """An enumerator's models as an iterator of int masks.
 
-    ``items`` is the underlying stream of masks and :class:`Run` blocks;
-    iterating the Models itself charges each run output on the
-    enumerator's counter as that output is handed out.
+    ``items`` is the underlying stream of masks and runs (lists of masks);
+    iterating the Models itself charges each run output, at RUN_PRICE, on
+    the enumerator's counter as that output is handed out.
     """
 
     __slots__ = ("items", "_flat")
@@ -141,13 +141,13 @@ def measure(
     eagerly before returning the model iterator; the counter value at return
     time is recorded as precompute_steps.
 
-    If the iterator is a :class:`Models`, its runs are folded in whole: the
-    first output of a run of k models at price p has the delay of the steps
-    counted since the previous output plus p, each later one the delay p,
-    the counter grows by k*p and remembers the run's last model, as if the
-    k outputs had been charged one by one.  `limit` cuts a run at the exact
-    model and charges only the part taken.  The stats equal those of
-    iterating the Models one mask at a time.
+    If the iterator is a :class:`Models`, its runs are folded in whole: with
+    p = RUN_PRICE, the first output of a run of k models has the delay of
+    the steps counted since the previous output plus p, each later one the
+    delay p, the counter grows by k*p and remembers the run's last model,
+    as if the k outputs had been charged one by one.  `limit` cuts a run at
+    the exact model and charges only the part taken.  The stats equal those
+    of iterating the Models one mask at a time.
 
     `sink`, if given, receives the models in order: a list of exactly
     SINK_BLOCK masks each time that many have gathered, and the nonempty
@@ -161,7 +161,7 @@ def measure(
     gen = factory(counter)
     pre = counter.n
     items = gen.items if type(gen) is Models else gen
-    run_t = Run
+    price = RUN_PRICE
     models: list[int] = []
     chunk: list[int] = []  # the models not yet handed on
     n_models = 0
@@ -171,9 +171,9 @@ def measure(
     peak = counter.nodes
     if limit is not None and limit <= 0:
         items = ()
-    for mask in items:  # an int mask, or a Run when items is a Models stream
-        if type(mask) is run_t:
-            masks, price = mask
+    for mask in items:  # an int mask, or a run when items is a Models stream
+        if type(mask) is list:
+            masks = mask
             k = len(masks)
             if limit is not None and k > limit - n_models:
                 k = limit - n_models

@@ -204,7 +204,7 @@ def _kdnf_walk(d: Dnf, cfg: KdnfConfig | None, counter: StepCounter | None, hybr
     is walked in one pass: before each output, a slice of at least
     ceil(bound / 2^(n' - k')) steps of child construction, with bound its
     _construction_bound, until the builder is done; then the rest of the
-    Gray walk as runs at 4 steps an output (2 for the flip, 2 for
+    Gray walk as runs at RUN_PRICE steps an output (2 for the flip, 2 for
     charge_output's one-bit change).  The walk has 2^(n' - k') outputs, so
     the slices cover the bound; if construction still has steps left after
     the walk, the bound was wrong and the frame raises RuntimeError.
@@ -248,7 +248,7 @@ def _kdnf_walk(d: Dnf, cfg: KdnfConfig | None, counter: StepCounter | None, hybr
                     if not (building and gray.remaining()):
                         break
                     mask = gray.advance(ctr)
-                yield from gray.runs(4)
+                yield from gray.runs()
                 mark = ctr.n
                 for _ in builder:
                     pass

@@ -201,39 +201,6 @@ class Trie:
                     p.minlen = r
         return node, node
 
-    def delete(self, word: Sequence[int]) -> bool:
-        self._check_word(word)
-        ctr = self.counter
-        node = self.root
-        parents: list[tuple[_Node, int]] = []
-        for s in word:
-            nxt = self._get(node, s)
-            if nxt is None:
-                ctr.n += len(parents) + 1
-                return False
-            parents.append((node, s))
-            node = nxt
-        ctr.n += len(word) + 1
-        if not node.word:
-            return False
-        node.word = False
-        node.count -= 1
-        for p, _ in parents:
-            p.count -= 1
-        pruned = 0
-        while parents and node.count == 0:
-            p, s = parents.pop()
-            self._pop_child(p, s)
-            pruned += 1
-            node = p
-        self._grow(-pruned)
-        ctr.n += pruned
-        if self.track_minlen:
-            self._recalc_minlen(node)
-            for p, _ in reversed(parents):
-                self._recalc_minlen(p)
-        return True
-
     def iter_words(self, start: _Node | None = None) -> Iterator[tuple[int, ...]]:
         """All words in the subtree, as suffixes relative to `start`.
 
@@ -481,9 +448,6 @@ class TermTrie(Trie):
         for w in sorted(self.iter_words()):
             out.append(tuple(s // 2 + 1 if s & 1 else -(s // 2 + 1) for s in w))
         return out
-
-    def to_dnf(self) -> Dnf:
-        return Dnf(self.n, self.decode())
 
     def counts_for(self, v: int) -> tuple[int, int, int]:
         """Subtree sizes (terms with -v, with v, with neither) at the root."""

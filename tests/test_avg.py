@@ -58,7 +58,7 @@ def test_every_visited_node_keeps_the_model_bound(monkeypatch):
     def watched(tt, v):
         # the DFS reads the split on x_v once per search node, with
         # x_1..x_{v-1} set
-        live = tt.to_dnf()
+        live = Dnf(tt.n, tt.decode())
         if live.terms != ((),):
             seen.append((live, v - 1))
         return counts_for(tt, v)

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import math
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -731,6 +732,43 @@ def test_unwritable_output_is_an_error_without_traceback(tmp_path, args):
     assert r.stderr.startswith(f"dnfenum: cannot write {out}: ")
     assert "Traceback" not in r.stderr
     assert not out.exists()
+
+
+def test_running_out_of_memory_is_exit_5_without_traceback(tmp_path):
+    # monotone-rs keeps every model of x1 over n = 30, 2^29 of them: far
+    # more than the address-space cap, which is set in the child only
+    f = tmp_path / "wide.dnf"
+    f.write_text("p dnf 30 1\n1 0\n")
+    cap = 150 * 2**20
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    r = run_cli(["--algo", "monotone-rs", "--count", str(f)], preexec_fn=limit_memory, timeout=120)
+    assert r.returncode == 5
+    assert "Traceback" not in r.stderr
+    assert r.stderr.count("\n") == 1
+    assert "monotone-rs" in r.stderr and "--limit" in r.stderr
+
+
+@pytest.mark.parametrize(
+    "args, line",
+    [
+        (["gen", "--kind", "random", "--n", "5", "--m", "3"], "dnfenum: out of memory\n"),
+        (
+            ["sweep", "--algo=avg", "--n", "5", "--sizes", "3"],
+            "dnfenum: out of memory in --algo avg; --limit N stops the run after N models\n",
+        ),
+    ],
+    ids=["gen", "sweep"],
+)
+def test_out_of_memory_names_the_algorithm_if_any(monkeypatch, capsys, args, line):
+    def exhausted(*a, **kw):
+        raise MemoryError
+
+    monkeypatch.setattr("dnfenum.cli.generate", exhausted)
+    assert main(args) == 5
+    assert capsys.readouterr().err == line
 
 
 def test_stdout_closed_mid_stream_ends_quietly(tmp_path):

@@ -149,12 +149,12 @@ def test_runs_hand_out_the_rest_of_the_walk():
     shifts = list(range(13))
     g = GrayState(0b101, shifts)
     g.take(5)
-    runs = list(g.runs(3))
-    assert [len(r.masks) for r in runs] == [SINK_BLOCK, (1 << 13) - 6 - SINK_BLOCK]
-    assert all(r.price == 3 for r in runs)
+    runs = list(g.runs())
+    assert [len(r) for r in runs] == [SINK_BLOCK, (1 << 13) - 6 - SINK_BLOCK]
+    assert all(type(r) is list for r in runs)
     want = [reflected(0b101, shifts, i) for i in range(6, 1 << 13)]
-    assert [m for r in runs for m in r.masks] == want
-    assert g.remaining() == 0 and list(g.runs(3)) == []
+    assert [m for r in runs for m in r] == want
+    assert g.remaining() == 0 and list(g.runs()) == []
 
 
 def test_slot_masks_are_built_on_first_reach():

@@ -4,10 +4,22 @@ from dataclasses import asdict
 
 import pytest
 
+from dnfenum import (
+    enum_avg,
+    enum_flashlight,
+    enum_monotone_avg,
+    enum_monotone_log,
+    enum_monotone_rs,
+    enum_union_ordered,
+    enum_union_priority,
+    enum_unions,
+)
 from dnfenum.core import Dnf
 from dnfenum.graycode import enum_term_models
-from dnfenum.instrument import SINK_BLOCK, Models, Run, StepCounter, measure
+from dnfenum.instances import generate
+from dnfenum.instrument import RUN_PRICE, SINK_BLOCK, Models, StepCounter, measure
 from dnfenum.kdnf import enum_kdnf, enum_kdnf_hybrid
+from dnfenum.monotone import MonotoneDnf
 
 # x1 alone covers half of the 2^14 assignments: 11344 models in all
 DENSE = Dnf(14, [(1,), (-2, 3), (4, -5, 6), (-7, 8, 9, -10)])
@@ -81,9 +93,9 @@ def run_spans(factory):
     """(first, last) model number of each run in a fresh stream, 1-based."""
     spans, seen = [], 0
     for item in factory(StepCounter()).items:
-        if type(item) is Run:
-            spans.append((seen + 1, seen + len(item.masks)))
-            seen += len(item.masks)
+        if type(item) is list:
+            spans.append((seen + 1, seen + len(item)))
+            seen += len(item)
         else:
             seen += 1
     return spans
@@ -139,14 +151,15 @@ def test_plain_iteration_charges_each_run_output_as_it_goes():
         assert ctr.last == mask
     # most outputs come from runs, at 4 steps each
     steps = [b - a for a, b in zip(marks, marks[1:])]
-    assert steps.count(4) > 0.9 * len(steps)
+    assert RUN_PRICE == 4 and steps.count(4) > 0.9 * len(steps)
 
 
 def test_next_on_models_is_plain_iteration():
     ctr = StepCounter()
     models = enum_term_models((1,), 3, counter=ctr)
     assert [next(models) for _ in range(4)] == [0b100, 0b110, 0b111, 0b101]
-    assert ctr.n == 4 + 3 * 2
+    # the start mask is assembled and charged (4 + 4), each later model 4
+    assert ctr.n == 4 + 4 + 3 * 4
     with pytest.raises(StopIteration):
         next(models)
 
@@ -157,7 +170,7 @@ def test_a_run_samples_the_node_gauge_like_its_outputs():
         def items():
             yield 0
             ctr.nodes += 5
-            yield Run([1, 2, 3], 1)
+            yield [1, 2, 3]
             ctr.nodes -= 5
             yield 4
 
@@ -167,3 +180,35 @@ def test_a_run_samples_the_node_gauge_like_its_outputs():
         folded = measured(factory, limit, plain=False)
         assert folded == measured(factory, limit, plain=True)
         assert folded[1]["peak_aux_memory_estimate"] == 5
+
+
+# -- one output price: every enumerator charges each output as it hands it out
+
+RANDOM = generate("random", 10, 12, seed=1)
+MONOTONE = MonotoneDnf(generate("monotone", 12, 10, seed=0))
+
+LIBRARY = {
+    "term-gray": lambda c: enum_term_models((2, -5), 10, counter=c),
+    "union-priority": lambda c: enum_union_priority(RANDOM, counter=c),
+    "union-ordered": lambda c: enum_union_ordered(RANDOM, counter=c),
+    "flashlight": lambda c: enum_flashlight(RANDOM, counter=c),
+    "kdnf": lambda c: enum_kdnf(MIXED, counter=c),
+    "kdnf-hybrid": lambda c: enum_kdnf_hybrid(MIXED, counter=c),
+    "avg-t10": lambda c: enum_avg(RANDOM, "t10", counter=c),
+    "avg-t11": lambda c: enum_avg(RANDOM, "t11", counter=c),
+    "monotone-rs": lambda c: enum_monotone_rs(MONOTONE, counter=c),
+    "monotone-avg": lambda c: enum_monotone_avg(MONOTONE, counter=c),
+    "monotone-log": lambda c: enum_monotone_log(MONOTONE, counter=c),
+    "setunion": lambda c: enum_unions(generate("sets", 10, 8, seed=1), counter=c),
+}
+
+
+@pytest.mark.parametrize("algo", sorted(LIBRARY))
+def test_every_output_is_charged_as_it_is_handed_out(algo):
+    # charge_output (or a run's fold) leaves the output on the counter
+    ctr = StepCounter()
+    count = 0
+    for mask in LIBRARY[algo](ctr):
+        assert ctr.last == mask, count
+        count += 1
+    assert count > 1

@@ -86,15 +86,16 @@ CASES = _cases()
 #: count; the two setunion step tuples were recorded once its cover counts
 #: went bit-sliced, the kdnf and kdnf-hybrid ones once kdnf paced its
 #: construction by a per-frame bound, and the union-ordered and monotone-rs
-#: ones once a heap and a set of int masks replaced their binary tries: each
-#: moved step counts and no stream
+#: ones once a heap and a set of int masks replaced their binary tries, and
+#: the term-gray, union-priority and flashlight ones once every output was
+#: charged through charge_output: each moved step counts and no stream
 PINS = {
     "avg-bits": ("4110d857e5d51d45681f73bc02aeb09e", (6668, 872, 242, 7.49197247706422, 135)),
     "avg-flips": ("00675f7aa5526d06b16a282df244bbc2", (6668, 872, 242, 7.49197247706422, 135)),
     "avg-t10-bits": ("4110d857e5d51d45681f73bc02aeb09e", (6936, 872, 246, 7.799311926605505, 135)),
     "avg-t10-flips": ("00675f7aa5526d06b16a282df244bbc2", (6936, 872, 246, 7.799311926605505, 135)),
-    "flashlight-bits": ("4110d857e5d51d45681f73bc02aeb09e", (17877, 872, 94, 20.39908256880734, 89)),
-    "flashlight-flips": ("00675f7aa5526d06b16a282df244bbc2", (17877, 872, 94, 20.39908256880734, 89)),
+    "flashlight-bits": ("4110d857e5d51d45681f73bc02aeb09e", (19620, 872, 103, 22.397935779816514, 89)),
+    "flashlight-flips": ("00675f7aa5526d06b16a282df244bbc2", (19620, 872, 103, 22.397935779816514, 89)),
     "kdnf-bits": ("9ca94d78cc66b613a80b301c9ca9b684", (18124, 4096, 29, 4.3515625, 300)),
     "kdnf-flips": ("5c30c163e69433aef7d013d4b910714d", (18124, 4096, 29, 4.3515625, 300)),
     "kdnf-hybrid-bits": ("1224a593dcbd6dfe823d6b9f307f81f4", (18725, 4096, 63, 4.498291015625, 300)),
@@ -121,12 +122,12 @@ PINS = {
     "monotone-rs-unate-flips": ("5bef844b9fe6235948e2d5ccaa6220ca", (90681, 3072, 169, 29.511393229166668, 22)),
     "setunion-bits": ("52b97e1a05c4172c5feb4cc3061ffec1", (3069, 32, 296, 92.75, 101)),
     "setunion-flips": ("f20026e01d1822420a761f71c4c2306b", (3069, 32, 296, 92.75, 101)),
-    "term-gray-bits": ("75263c6055be74d42137e954a65e7a7d", (265, 128, 2, 1.984375, 11)),
-    "term-gray-flips": ("d8219eb768076055597f6f704adf575a", (265, 128, 2, 1.984375, 11)),
+    "term-gray-bits": ("75263c6055be74d42137e954a65e7a7d", (530, 128, 4, 3.96875, 22)),
+    "term-gray-flips": ("d8219eb768076055597f6f704adf575a", (530, 128, 4, 3.96875, 22)),
     "union-ordered-bits": ("4110d857e5d51d45681f73bc02aeb09e", (45092, 872, 97, 51.31880733944954, 342)),
     "union-ordered-flips": ("00675f7aa5526d06b16a282df244bbc2", (45092, 872, 97, 51.31880733944954, 342)),
-    "union-priority-bits": ("00843fe15ad6bd8c35347ef9e5aefc62", (8807, 872, 123, 9.934633027522937, 144)),
-    "union-priority-flips": ("0b256bcad0adfc1d01f1623571a35a0f", (8807, 872, 123, 9.934633027522937, 144)),
+    "union-priority-bits": ("00843fe15ad6bd8c35347ef9e5aefc62", (12667, 872, 125, 14.361238532110091, 144)),
+    "union-priority-flips": ("0b256bcad0adfc1d01f1623571a35a0f", (12667, 872, 125, 14.361238532110091, 144)),
 }
 
 

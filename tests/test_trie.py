@@ -22,7 +22,7 @@ from dnfenum.instrument import StepCounter, measure
 from dnfenum.trie import NO_WORDS, TermTrie, Trie
 
 
-def test_insert_search_delete_basics():
+def test_insert_search_basics():
     t = Trie(2)
     assert t.insert((1, 1, 0))
     assert len(t) == 1
@@ -32,11 +32,6 @@ def test_insert_search_delete_basics():
     assert t.insert((1, 1))
     assert len(t) == 3
     assert set(t.iter_words()) == {(1, 1, 0), (1, 0), (1, 1)}
-    assert not t.delete((0, 0))
-    assert t.delete((1, 1, 0))
-    # the prefix word survives deleting its extension
-    assert set(t.iter_words()) == {(1, 0), (1, 1)}
-    assert len(t) == 2
 
 
 def test_empty_word():
@@ -44,8 +39,6 @@ def test_empty_word():
     assert t.insert(())
     assert list(t.iter_words()) == [()]
     assert len(t) == 1
-    assert t.delete(())
-    assert len(t) == 0
 
 
 def test_symbol_out_of_range():
@@ -67,10 +60,10 @@ def subtree_size(t: Trie, node) -> int:
 
 @pytest.mark.parametrize("alphabet", [4, 40_000])
 def test_differential_against_reference_set(alphabet):
-    """10^4 random ops agree with a plain python set.
+    """10^4 random inserts agree with a plain python set.
 
-    Symbols come from a pool of six, so nodes branch and lose children
-    again; on the wide alphabet the pool is spread across all of it.
+    Symbols come from a pool of six, so nodes branch and words repeat; on
+    the wide alphabet the pool is spread across all of it.
     """
     rng = random.Random(0xD1FF + alphabet)
     pool = sorted(rng.sample(range(alphabet), min(alphabet, 6)))
@@ -78,12 +71,8 @@ def test_differential_against_reference_set(alphabet):
     ref: set[tuple[int, ...]] = set()
     for i in range(10_000):
         w = tuple(rng.choice(pool) for _ in range(rng.randrange(6)))
-        if rng.randrange(2):
-            assert t.insert(w) == (w not in ref)
-            ref.add(w)
-        else:
-            assert t.delete(w) == (w in ref)
-            ref.discard(w)
+        assert t.insert(w) == (w not in ref)
+        ref.add(w)
         assert len(t) == len(ref)
         if i % 500 == 0:
             assert subtree_size(t, t.root) == len(ref)
@@ -107,22 +96,20 @@ def test_iter_words_order_is_insertion_order():
     for w in [(7,), (3, 1), (3, 0), (9,), (3,)]:
         t.insert(w)
     assert list(t.iter_words()) == [(7,), (3,), (3, 1), (3, 0), (9,)]
-    t.delete((7,))
-    t.insert((7,))  # a child put back counts as inserted anew
+    t.undo(t.strip(7))  # detaches child(7); a child put back counts as inserted anew
     assert list(t.iter_words()) == [(3,), (3, 1), (3, 0), (9,), (7,)]
 
 
 def test_array_ops_touch_linearly_many_nodes():
-    """Each operation's counted steps stay within 4x the word length."""
+    """Each insert's counted steps stay within 4x the word length."""
     rng = random.Random(7)
     ctr = StepCounter()
     t = Trie(8, counter=ctr)
     for _ in range(500):
         w = tuple(rng.randrange(8) for _ in range(rng.randrange(12)))
-        for op in (t.insert, t.delete):
-            before = ctr.n
-            op(w)
-            assert ctr.n - before <= 4 * (len(w) + 1)
+        before = ctr.n
+        t.insert(w)
+        assert ctr.n - before <= 4 * (len(w) + 1)
 
 
 def test_term_trie_memory_does_not_grow_with_the_alphabet():
@@ -209,9 +196,6 @@ def test_minlen_tracking():
     assert t.root.minlen == 1
     t.insert(())
     assert t.root.minlen == 0
-    t.delete(())
-    t.delete((2,))
-    assert t.root.minlen == 3
 
 
 class _PerWordMerge:
@@ -221,6 +205,27 @@ class _PerWordMerge:
     A delete is priced as its walk and its pruned nodes: minlen needs no
     recalculation steps, since the graft merge's undo puts it back from a
     snapshot."""
+
+    def _delete(self, word):
+        """Remove a word known to be present, pruning the nodes it leaves
+        empty and recomputing minlen along its path; charges nothing."""
+        node = self.root
+        parents = []
+        for s in word:
+            parents.append((node, s))
+            node = self._get(node, s)
+        node.word = False
+        node.count -= 1
+        for p, _ in parents:
+            p.count -= 1
+        while parents and node.count == 0:
+            p, s = parents.pop()
+            self._pop_child(p, s)
+            self._grow(-1)
+            node = p
+        if self.track_minlen:
+            for p in [node] + [p for p, _ in reversed(parents)]:
+                self._recalc_minlen(p)
 
     def _merge(self, src, token, skip=None):
         if skip is None:
@@ -256,7 +261,7 @@ class _PerWordMerge:
             if op[0] == "ins":
                 ctr = self.counter
                 steps, nodes = ctr.n, ctr.nodes
-                self.delete(op[1])
+                self._delete(op[1])
                 ctr.n = steps + len(op[1]) + 1 + nodes - ctr.nodes
             elif op[0] == "data":
                 op[1].data = op[2]
@@ -479,8 +484,6 @@ def test_from_dnf_decode_round_trip(d):
     tt = TermTrie.from_dnf(d)
     assert sorted(tt.decode()) == sorted(d.terms)
     assert len(tt) == d.m
-    # decoded order is canonical trie order; term sets are what must agree
-    assert set(tt.to_dnf().terms) == set(d.terms)
 
 
 def test_set_variable_to_zero_dedups():
@@ -512,9 +515,9 @@ def test_counts_for():
 def test_set_variable_matches_restrict(d, b):
     tt = TermTrie.from_dnf(d)
     token = tt.set_variable(1, b)
-    assert set(tt.to_dnf().terms) == set(restrict(d, {1: b}).terms)
+    assert set(tt.decode()) == set(restrict(d, {1: b}).terms)
     tt.undo(token)
-    assert set(tt.to_dnf().terms) == set(d.terms)
+    assert set(tt.decode()) == set(d.terms)
 
 
 @settings(max_examples=200)
@@ -551,9 +554,9 @@ def test_restriction_walk_with_undo(d, data):
             tt.undo(token)
             del tau[v]
             next_var = v
-        assert set(tt.to_dnf().terms) == set(restrict(d, tau).terms)
+        assert set(tt.decode()) == set(restrict(d, tau).terms)
         if tt.root.count:
-            assert tt.root.minlen == min(len(t) for t in tt.to_dnf().terms)
+            assert tt.root.minlen == min(len(t) for t in tt.decode())
 
 
 def test_undo_is_lifo_only():
@@ -563,4 +566,4 @@ def test_undo_is_lifo_only():
     t2 = tt.set_variable(2, 0)
     tt.undo(t2)
     tt.undo(t1)
-    assert set(tt.to_dnf().terms) == set(d.terms)
+    assert set(tt.decode()) == set(d.terms)
