@@ -50,11 +50,11 @@ from .core import (
     Dnf,
     DnfFormatError,
     bits_from_mask,
-    brute_force_models,
+    brute_force_bits,
     dumps_dnf,
     parse_dnf,
 )
-from .graycode import enum_single_term_dnf
+from .graycode import GrayRun, enum_single_term_dnf
 from .instances import generate
 from .instrument import StepCounter, measure
 from .kdnf import KdnfConfig, enum_kdnf, enum_kdnf_hybrid
@@ -134,9 +134,11 @@ class _StreamWriter:
 
     ``bits`` gives each model its full bit string.  ``flips`` gives the first
     model of the run its bit string and every later model the ascending
-    1-based positions in which it differs from its predecessor, looked up in
-    a :class:`_FlipLines` table that fills as the run goes.  Between blocks
-    the writer keeps only the last model and that table.
+    1-based positions in which it differs from its predecessor.  A Gray run
+    that follows the last model written gives its lines itself
+    (:meth:`GrayRun.flips_text`); any other block is looked up model by
+    model in a :class:`_FlipLines` table that fills as the stream goes.
+    Between blocks the writer keeps only the last model and that table.
     """
 
     def __init__(self, n: int, fmt: str, out):
@@ -146,18 +148,23 @@ class _StreamWriter:
         self.prev: int | None = None
         self.flip_lines = _FlipLines(n) if fmt == "flips" else None
 
-    def __call__(self, masks: list[int]) -> None:
+    def __call__(self, block: list[int] | GrayRun) -> None:
         n = self.n
         if self.flip_lines is None:
             # format() pads to at least one digit, so n = 0 needs its own case
-            lines = [format(m, self.spec) for m in masks] if n else [""] * len(masks)
+            lines = [format(m, self.spec) for m in block] if n else [""] * len(block)
+        elif type(block) is GrayRun and block.prev == self.prev:
+            self.out.write(block.flips_text(n))
+            self.prev = block.last
+            return
         else:
+            masks = block if type(block) is list else list(block)
             first = self.prev is None
             prev = masks[0] if first else self.prev
             lines = list(map(self.flip_lines.__getitem__, map(xor, masks, chain((prev,), masks))))
             if first:
                 lines[0] = bits_from_mask(masks[0], n)
-        self.prev = masks[-1]
+            self.prev = masks[-1]
         lines.append("")
         self.out.write("\n".join(lines))
 
@@ -214,26 +221,65 @@ def _make_factory(args, obj) -> Callable[[StepCounter], Iterator[int]]:
     return lambda ctr: (mask ^ flip for mask in fn(md, counter=ctr))
 
 
-def _check_against_oracle(obj, models: list[int]) -> bool:
-    if isinstance(obj, SetFamily):
-        expect = set(brute_force_unions(obj))
-        what = "unions"
-    else:
-        expect = brute_force_models(obj)
-        what = "models"
-    got = set(models)
-    if len(models) != len(got):
-        print(f"dnfenum: oracle mismatch: {len(models) - len(got)} duplicate {what}", file=sys.stderr)
-        return False
-    if got != expect:
-        extra = len(got - expect)
-        missing = len(expect - got)
-        print(
-            f"dnfenum: oracle mismatch: {missing} missing and {extra} spurious {what}",
-            file=sys.stderr,
-        )
-        return False
-    return True
+class _OracleCheck:
+    """A sink for measure() that folds each output into the outputs seen so
+    far, then compares them with the brute-force oracle.
+
+    A formula's outputs are bits of a 2^n-bit bytearray, a family's unions a
+    set; an output that is already there is a duplicate.
+    """
+
+    def __init__(self, obj):
+        self.obj = obj
+        self.family = isinstance(obj, SetFamily)
+        self.seen: set[int] | bytearray = set() if self.family else bytearray(((1 << obj.n) + 7) >> 3)
+        self.stray = 0  # masks outside the 2^n assignments, all spurious
+        self.dups = 0
+
+    def __call__(self, block) -> None:
+        dups = 0
+        seen = self.seen
+        if self.family:
+            for u in block:
+                if u in seen:
+                    dups += 1
+                else:
+                    seen.add(u)
+        else:
+            n = self.obj.n
+            for m in block:
+                if m >> n:
+                    self.stray += 1
+                    continue
+                byte = m >> 3
+                bit = 1 << (m & 7)
+                if seen[byte] & bit:
+                    dups += 1
+                else:
+                    seen[byte] |= bit
+        self.dups += dups
+
+    def passed(self) -> bool:
+        what = "unions" if self.family else "models"
+        if self.dups:
+            print(f"dnfenum: oracle mismatch: {self.dups} duplicate {what}", file=sys.stderr)
+            return False
+        if self.family:
+            expect = set(brute_force_unions(self.obj))
+            missing = len(expect - self.seen)
+            extra = len(self.seen - expect)
+        else:
+            got = int.from_bytes(self.seen, "little")
+            expect = brute_force_bits(self.obj)
+            missing = (expect & ~got).bit_count()
+            extra = (got & ~expect).bit_count() + self.stray
+        if missing or extra:
+            print(
+                f"dnfenum: oracle mismatch: {missing} missing and {extra} spurious {what}",
+                file=sys.stderr,
+            )
+            return False
+        return True
 
 
 def _oracle_refusal(obj) -> str | None:
@@ -290,13 +336,21 @@ def _cmd_run(argv: list[str]) -> int:
         print(f"dnfenum: {why}", file=sys.stderr)
         return EXIT_INPUT
 
-    sink = None if args.count else _StreamWriter(obj.n, args.format, sys.stdout)
-    models, stats = measure(factory, limit=args.limit, collect=args.check_oracle, sink=sink)
+    writer = None if args.count else _StreamWriter(obj.n, args.format, sys.stdout)
+    check = _OracleCheck(obj) if args.check_oracle else None
+    sink = writer or check
+    if writer and check:
+
+        def sink(block) -> None:
+            writer(block)
+            check(block)
+
+    _, stats = measure(factory, limit=args.limit, collect=False, sink=sink)
     if args.count:
         print(stats.n_models)
     if args.stats:
         print(stats.to_json(), file=sys.stderr)
-    if args.check_oracle and not _check_against_oracle(obj, models):
+    if check is not None and not check.passed():
         return EXIT_ORACLE
     return 0
 
@@ -383,8 +437,9 @@ def _cmd_sweep(argv: list[str]) -> int:
         if args.check_oracle and (why := _oracle_refusal(obj)):
             print(f"dnfenum: {why}", file=sys.stderr)
             return EXIT_INPUT
-        models, stats = measure(factory, limit=args.limit, collect=args.check_oracle)
-        if args.check_oracle and not _check_against_oracle(obj, models):
+        check = _OracleCheck(obj) if args.check_oracle else None
+        _, stats = measure(factory, limit=args.limit, collect=False, sink=check)
+        if check is not None and not check.passed():
             print(f"dnfenum: sweep failed at size {m}", file=sys.stderr)
             return EXIT_ORACLE
         rows.append(

@@ -196,13 +196,22 @@ def compatible(mask: int, tau: PartialAssignment, n: int) -> bool:
 
 
 def brute_force_models(d: Dnf) -> set[int]:
-    """All models of d by exhaustive scan of the 2^n assignments.
+    """All models of d by exhaustive scan of the 2^n assignments (see
+    :func:`brute_force_bits`).  Refuses n > 24."""
+    sat = brute_force_bits(d)
+    # one 0/1 byte per assignment, 2^n - 1 first, for compress() to pick from
+    picks = format(sat, f"0{1 << d.n}b").encode().translate(bytes.maketrans(b"01", b"\0\1"))
+    return set(compress(range((1 << d.n) - 1, -1, -1), picks))
+
+
+def brute_force_bits(d: Dnf) -> int:
+    """The models of d as a 2^n-bit int: bit a is set iff assignment a is one.
 
     The ground-truth oracle for tests and --check-oracle: it reads only
     ``d.terms`` and shares no logic with the enumerators.  A term's models
-    are a 2^n-bit int, grown from the lowest assignment bit up: a free
-    variable doubles the set, a positive literal shifts it, a negative one
-    leaves it.  d's models are the OR of its terms'.  Refuses n > 24.
+    are grown from the lowest assignment bit up: a free variable doubles
+    the set, a positive literal shifts it, a negative one leaves it.  d's
+    models are the OR of its terms'.  Refuses n > 24.
     """
     if d.n > BRUTE_FORCE_MAX_VARS:
         raise ValueError(f"brute force limited to n <= {BRUTE_FORCE_MAX_VARS}")
@@ -216,9 +225,7 @@ def brute_force_models(d: Dnf) -> set[int]:
             elif s:
                 p <<= 1 << i
         sat |= p
-    # one 0/1 byte per assignment, 2^n - 1 first, for compress() to pick from
-    picks = format(sat, f"0{1 << d.n}b").encode().translate(bytes.maketrans(b"01", b"\0\1"))
-    return set(compress(range((1 << d.n) - 1, -1, -1), picks))
+    return sat
 
 
 def parse_rows(text: str, kind: str, make, min_n: int = 0):

@@ -20,13 +20,18 @@ informational wall_ns field.
 Runs.  A Gray walk with nothing else to do between its flips makes each
 output at RUN_PRICE steps: 2 for the flip and 2 for charge_output's one-bit
 change.  An enumerator may then yield a run in place of single masks: a
-nonempty list of at most SINK_BLOCK consecutive models, not yet charged.
-Such an enumerator returns a :class:`Models`, whose ``items`` is the raw
-stream of masks and runs.  Iterating a Models gives plain int masks and
-charges each run output on the counter as it is handed out, so a caller
-that iterates sees exactly the per-output counter values of an enumerator
-that charged every output itself.  :func:`measure` reads ``items`` instead
-and folds each run into its tallies with a few additions.
+:class:`dnfenum.graycode.GrayRun`, a nonempty slice of at most SINK_BLOCK
+consecutive outputs of one walk, not yet charged, that follows the model
+its walk last handed out.  A run holds no list of masks: it has a length
+and a last mask, makes its masks only when iterated, and can be cut to its
+first k models.  Such an enumerator returns a :class:`Models`, whose
+``items`` is the raw stream of int masks and runs: every item that is not
+an int is a run.  Iterating a Models
+gives plain int masks and charges each run output on the counter as it is
+handed out, so a caller that iterates sees exactly the per-output counter
+values of an enumerator that charged every output itself.  :func:`measure`
+reads ``items`` instead and folds each run into its tallies with a few
+additions, from its length and last mask alone.
 """
 
 from __future__ import annotations
@@ -87,7 +92,8 @@ class DelayStats:
         return json.dumps(asdict(self))
 
 
-#: most models measure() hands a sink in one call, and most models in a run
+#: most single masks measure() hands a sink in one list, and most models in
+#: a run: runs end on its multiples in walk index
 SINK_BLOCK = 4096
 
 
@@ -99,19 +105,19 @@ RUN_PRICE = 4
 def _flatten(items: Iterable, ctr: StepCounter) -> Iterator[int]:
     price = RUN_PRICE
     for item in items:
-        if type(item) is list:
+        if type(item) is int:
+            yield item
+        else:
             for mask in item:
                 ctr.n += price
                 ctr.last = mask
                 yield mask
-        else:
-            yield item
 
 
 class Models:
     """An enumerator's models as an iterator of int masks.
 
-    ``items`` is the underlying stream of masks and runs (lists of masks);
+    ``items`` is the underlying stream of int masks and runs;
     iterating the Models itself charges each run output, at RUN_PRICE, on
     the enumerator's counter as that output is handed out.
     """
@@ -133,7 +139,7 @@ def measure(
     factory: Callable[[StepCounter], Iterator[int]],
     limit: int | None = None,
     collect: bool = True,
-    sink: Callable[[list[int]], None] | None = None,
+    sink: Callable[[Iterable[int]], None] | None = None,
 ) -> tuple[list[int], DelayStats]:
     """Run an enumerator to exhaustion (or `limit`) and record delay stats.
 
@@ -147,14 +153,15 @@ def measure(
     delay p, the counter grows by k*p and remembers the run's last model,
     as if the k outputs had been charged one by one.  `limit` cuts a run at
     the exact model and charges only the part taken.  The stats equal those
-    of iterating the Models one mask at a time.
+    of iterating the Models one mask at a time.  measure() makes a run's
+    masks only for `collect`; a sink makes them only if it iterates the run.
 
-    `sink`, if given, receives the models in order: a list of exactly
-    SINK_BLOCK masks each time that many have gathered, and the nonempty
-    remainder once the run ends, whether by exhaustion or by `limit`.  Every
-    model reaches the sink exactly once.  The remainder list is measure()'s
-    own, so a sink must copy what it wants to keep.  Sink calls sit outside
-    the step accounting.
+    `sink`, if given, receives the models in order, every model exactly
+    once: the single masks as lists of at most SINK_BLOCK, each list handed
+    on once it is full, before a run, or when the stream ends, whether by
+    exhaustion or by `limit`; and each run whole (cut at `limit`), as the
+    :class:`dnfenum.graycode.GrayRun` the enumerator made.  A sink may keep
+    what it receives.  Sink calls sit outside the step accounting.
     """
     counter = StepCounter()
     t0 = time.perf_counter_ns()
@@ -163,7 +170,7 @@ def measure(
     items = gen.items if type(gen) is Models else gen
     price = RUN_PRICE
     models: list[int] = []
-    chunk: list[int] = []  # the models not yet handed on
+    chunk: list[int] = []  # the single masks not yet handed on
     n_models = 0
     prev = pre
     max_delay = 0
@@ -171,26 +178,15 @@ def measure(
     peak = counter.nodes
     if limit is not None and limit <= 0:
         items = ()
-    for mask in items:  # an int mask, or a run when items is a Models stream
-        if type(mask) is list:
-            masks = mask
-            k = len(masks)
-            if limit is not None and k > limit - n_models:
-                k = limit - n_models
-                masks = masks[:k]
-            now = counter.n
-            # the first output's delay, never below the price of each later one
-            gap = now - prev + price
-            if gap > max_delay:
-                max_delay = gap
-            sum_delay += gap + (k - 1) * price
-            prev = counter.n = now + k * price
-            counter.last = masks[-1]
-            if k > 1:
-                gap = price
-            n_models += k
-            chunk += masks
-        else:
+
+    def hand_on(block) -> None:
+        if collect:
+            models.extend(block)
+        if sink is not None:
+            sink(block)
+
+    for item in items:  # an int mask, or a run when items is a Models stream
+        if type(item) is int:
             now = counter.n
             gap = now - prev
             prev = now
@@ -198,15 +194,31 @@ def measure(
                 max_delay = gap
             sum_delay += gap
             n_models += 1
-            chunk.append(mask)
-        # a run adds at most SINK_BLOCK masks, so at most one block is full
-        if len(chunk) >= SINK_BLOCK:
-            block = chunk[:SINK_BLOCK]
-            del chunk[:SINK_BLOCK]
-            if collect:
-                models += block
-            if sink is not None:
-                sink(block)
+            chunk.append(item)
+            if len(chunk) == SINK_BLOCK:
+                hand_on(chunk)
+                chunk = []
+        else:
+            run = item
+            k = len(run)
+            if limit is not None and k > limit - n_models:
+                k = limit - n_models
+                run = run.cut(k)
+            now = counter.n
+            # the first output's delay, never below the price of each later one
+            gap = now - prev + price
+            if gap > max_delay:
+                max_delay = gap
+            sum_delay += gap + (k - 1) * price
+            prev = counter.n = now + k * price
+            counter.last = run.last
+            if k > 1:
+                gap = price
+            n_models += k
+            if chunk:
+                hand_on(chunk)
+                chunk = []
+            hand_on(run)
         if counter.nodes > peak:
             peak = counter.nodes
         if limit is not None and n_models >= limit:
@@ -217,10 +229,8 @@ def measure(
         sum_delay += tail
         if tail and n_models:
             max_delay = max(max_delay, gap + tail)
-    if collect:
-        models += chunk
-    if chunk and sink is not None:
-        sink(chunk)
+    if chunk:
+        hand_on(chunk)
     if counter.nodes > peak:
         peak = counter.nodes
     stats = DelayStats(

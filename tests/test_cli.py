@@ -4,6 +4,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import resource
@@ -39,6 +40,7 @@ from dnfenum.core import (
     mask_from_bits,
     parse_dnf,
 )
+from dnfenum import graycode
 from dnfenum.instances import _count_terms
 from dnfenum.instrument import SINK_BLOCK
 from dnfenum.setunion import SetFamily, dumps_sets
@@ -163,6 +165,48 @@ def test_stream_matches_per_model_encoder(block_instances, algo, fmt, limit, cap
         models = models[:limit]
     assert main(argv) == 0
     assert_same_stream(capsys.readouterr().out, reference_stream(n, fmt, models))
+
+
+#: the acceptance suite's criterion-11 instance, whose first 10^6 models
+#: are, after a short paced start, runs of one Gray walk
+C11 = generate("kdnf", 40, 1000, k=3, seed=11)
+
+
+@pytest.fixture(scope="module")
+def c11_file(tmp_path_factory):
+    f = tmp_path_factory.mktemp("c11") / "c11.dnf"
+    f.write_text(dumps_dnf(C11))
+    return str(f)
+
+
+@pytest.mark.parametrize("fmt", ["bits", "flips"])
+@pytest.mark.parametrize("algo", ["kdnf", "kdnf-hybrid"])
+def test_a_long_gray_stream_matches_per_model_encoder(c11_file, algo, fmt, capsys):
+    # about 30 runs and a cut one, after the paced start
+    limit = 123457
+    enum = enum_kdnf if algo == "kdnf" else enum_kdnf_hybrid
+    models = list(itertools.islice(enum(C11), limit))
+    assert main(["--algo", algo, "--format", fmt, "--limit", str(limit), c11_file]) == 0
+    assert_same_stream(capsys.readouterr().out, reference_stream(C11.n, fmt, models))
+
+
+@pytest.mark.parametrize("fmt", ["--count", "--format=flips"])
+def test_runs_are_not_built_to_be_counted_or_flip_written(c11_file, fmt, monkeypatch, capsys):
+    built = 0
+    real = graycode._masks
+
+    def counting(*args):
+        nonlocal built
+        out = real(*args)
+        built += len(out)
+        return out
+
+    monkeypatch.setattr(graycode, "_masks", counting)
+    assert main(["--algo", "kdnf", "--limit", "1000000", fmt, c11_file]) == 0
+    lines = capsys.readouterr().out.count("\n")
+    assert lines == (1 if fmt == "--count" else 1000000)
+    # the paced start makes its few thousand models one at a time
+    assert 0 < built < 10**4
 
 
 @pytest.mark.parametrize("algo", ["avg", "union-ordered"])
@@ -474,6 +518,7 @@ def test_check_oracle_refuses_a_family_over_20_sets(tmp_path, sweep, capsys):
         ("drop", "1 missing and 0 spurious models"),
         ("repeat", "1 duplicate models"),
         ("add", "0 missing and 1 spurious models"),
+        ("stray", "0 missing and 1 spurious models"),
     ],
 )
 def test_check_oracle_mismatch_exits_4(example_file, monkeypatch, sweep, fault, message, capsys):
@@ -490,6 +535,9 @@ def test_check_oracle_mismatch_exits_4(example_file, monkeypatch, sweep, fault, 
             if fault == "add":
                 yield first
                 yield min(set(range(1 << d.n)) - brute_force_models(d))
+            if fault == "stray":  # a mask outside the 2^n assignments
+                yield first
+                yield 1 << d.n
             yield from models
 
         return gen()
@@ -749,6 +797,21 @@ def test_running_out_of_memory_is_exit_5_without_traceback(tmp_path):
     assert "Traceback" not in r.stderr
     assert r.stderr.count("\n") == 1
     assert "monotone-rs" in r.stderr and "--limit" in r.stderr
+
+
+def test_check_oracle_keeps_no_list_of_its_models(tmp_path):
+    # 3.4M models over n = 22: a list and sets of them would exceed the
+    # cap, a 2^22-bit array stays far below it
+    f = tmp_path / "k22.dnf"
+    f.write_text(dumps_dnf(generate("kdnf", 22, 3, k=3, seed=1)))
+    cap = 150 * 2**20
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    r = run_cli(["--algo", "kdnf", "--check-oracle", "--count", str(f)], preexec_fn=limit_memory, timeout=120)
+    assert (r.returncode, r.stderr) == (0, "")
+    assert int(r.stdout) > 3 * 10**6
 
 
 @pytest.mark.parametrize(

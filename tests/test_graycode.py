@@ -1,12 +1,12 @@
 """Gray-code walks and the single-term enumerator."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from conftest import terms
 from dnfenum.core import Dnf, brute_force_models, make_term, mask_from_bits
-from dnfenum.graycode import GrayState, enum_single_term_dnf, enum_term_models
+from dnfenum.graycode import GrayRun, GrayState, enum_single_term_dnf, enum_term_models
 from dnfenum.instrument import SINK_BLOCK, StepCounter, measure
 
 
@@ -150,11 +150,42 @@ def test_runs_hand_out_the_rest_of_the_walk():
     g = GrayState(0b101, shifts)
     g.take(5)
     runs = list(g.runs())
-    assert [len(r) for r in runs] == [SINK_BLOCK, (1 << 13) - 6 - SINK_BLOCK]
-    assert all(type(r) is list for r in runs)
+    # runs end on multiples of SINK_BLOCK in walk index, and at the walk's end
+    assert [len(r) for r in runs] == [SINK_BLOCK - 5, SINK_BLOCK - 1]
+    assert all(type(r) is GrayRun for r in runs)
     want = [reflected(0b101, shifts, i) for i in range(6, 1 << 13)]
     assert [m for r in runs for m in r] == want
+    assert [r.last for r in runs] == [want[SINK_BLOCK - 6], want[-1]]
+    assert (runs[0].prev, runs[1].prev) == (reflected(0b101, shifts, 5), runs[0].last)
+    assert (g.i, g.mask) == ((1 << 13) - 1, want[-1])
     assert g.remaining() == 0 and list(g.runs()) == []
+
+
+def flips_lines(n: int, prev: int, masks: list[int]) -> str:
+    """The flips lines of masks after prev, one flipped bit each."""
+    out = []
+    for mask in masks:
+        out.append(f"{n - ((mask ^ prev).bit_length() - 1)}\n")
+        prev = mask
+    return "".join(out)
+
+
+@pytest.mark.parametrize("slots", [1, 5, 12, 14])
+@settings(max_examples=25)
+@given(data=st.data())
+def test_a_run_and_its_cuts_give_their_masks_and_flips_lines(slots, data):
+    n = slots + 3
+    shifts = data.draw(st.permutations(range(n)))[:slots]
+    start = data.draw(st.integers(0, (1 << n) - 1))
+    g = GrayState(start, shifts)
+    g.take(data.draw(st.integers(0, g.remaining() - 1)))
+    for run in g.runs():
+        cut = data.draw(st.integers(1, len(run)))
+        for r in (run, run.cut(cut)):
+            want = [reflected(start, shifts, i) for i in range(r.i + 1, r.i + len(r) + 1)]
+            assert list(r) == want and r.last == want[-1]
+            assert r.prev == reflected(start, shifts, r.i)
+            assert r.flips_text(n) == flips_lines(n, r.prev, want)
 
 
 def test_slot_masks_are_built_on_first_reach():

@@ -15,7 +15,7 @@ from dnfenum import (
     enum_unions,
 )
 from dnfenum.core import Dnf
-from dnfenum.graycode import enum_term_models
+from dnfenum.graycode import GrayRun, GrayState, enum_term_models
 from dnfenum.instances import generate
 from dnfenum.instrument import RUN_PRICE, SINK_BLOCK, Models, StepCounter, measure
 from dnfenum.kdnf import enum_kdnf, enum_kdnf_hybrid
@@ -26,15 +26,20 @@ DENSE = Dnf(14, [(1,), (-2, 3), (4, -5, 6), (-7, 8, 9, -10)])
 ALL_MODELS, _ = measure(lambda ctr: enum_kdnf(DENSE, counter=ctr))
 
 
-def sink_blocks(limit):
+def sink_blocks(limit, enum=enum_kdnf):
     blocks = []
     _, stats = measure(
-        lambda ctr: enum_kdnf(DENSE, counter=ctr),
-        limit=limit,
-        collect=False,
-        sink=lambda masks: blocks.append(list(masks)),
+        lambda ctr: enum(DENSE, counter=ctr), limit=limit, collect=False, sink=blocks.append
     )
     return blocks, stats
+
+
+def assert_block_contract(blocks):
+    """Lists of single masks and runs, each nonempty and at most SINK_BLOCK
+    long; a list is full unless a run or the end of the stream follows it."""
+    assert all(type(b) in (list, GrayRun) and 0 < len(b) <= SINK_BLOCK for b in blocks)
+    for b, after in zip(blocks, blocks[1:]):
+        assert type(b) is GrayRun or len(b) == SINK_BLOCK or type(after) is GrayRun
 
 
 @pytest.mark.parametrize(
@@ -45,20 +50,37 @@ def test_sink_sees_every_model_once_in_order(limit):
     want = ALL_MODELS if limit is None else ALL_MODELS[:limit]
     assert [m for b in blocks for m in b] == want
     assert stats.n_models == len(want)
-    # full blocks first, then one nonempty remainder
-    assert all(len(b) == SINK_BLOCK for b in blocks[:-1])
-    assert all(0 < len(b) <= SINK_BLOCK for b in blocks)
+    assert_block_contract(blocks)
+    if len(want) > 1:
+        assert any(type(b) is GrayRun for b in blocks)
 
 
 def test_limit_flushes_the_partial_block():
-    blocks, _ = sink_blocks(SINK_BLOCK + 5)
+    # avg hands out no runs, so its single masks gather in full lists
+    blocks, _ = sink_blocks(SINK_BLOCK + 5, enum=enum_avg)
     assert [len(b) for b in blocks] == [SINK_BLOCK, 5]
 
 
 def test_exhaustion_flushes_the_partial_block():
     assert len(ALL_MODELS) % SINK_BLOCK
-    blocks, _ = sink_blocks(None)
+    blocks, _ = sink_blocks(None, enum=enum_avg)
+    assert all(type(b) is list for b in blocks)
     assert [len(b) for b in blocks] == [SINK_BLOCK] * 2 + [len(ALL_MODELS) % SINK_BLOCK]
+
+
+def test_limit_cuts_the_run_it_falls_in():
+    blocks, _ = sink_blocks(SINK_BLOCK + 5)
+    # the stream opens x1's walk, whose first run ends at output SINK_BLOCK
+    # of the walk: the stream's model SINK_BLOCK + 1
+    assert type(blocks[-1]) is GrayRun and len(blocks[-1]) == 4
+    assert blocks[-1].last == ALL_MODELS[SINK_BLOCK + 4]
+
+
+def test_single_masks_are_handed_on_before_a_run():
+    blocks, _ = sink_blocks(None)
+    # the paced start of x1's walk, a partial list, then its runs
+    assert type(blocks[0]) is list and len(blocks[0]) < SINK_BLOCK
+    assert type(blocks[1]) is GrayRun
 
 
 @pytest.mark.parametrize("limit", [None, 1, SINK_BLOCK + 1])
@@ -93,7 +115,7 @@ def run_spans(factory):
     """(first, last) model number of each run in a fresh stream, 1-based."""
     spans, seen = [], 0
     for item in factory(StepCounter()).items:
-        if type(item) is list:
+        if type(item) is GrayRun:
             spans.append((seen + 1, seen + len(item)))
             seen += len(item)
         else:
@@ -102,13 +124,14 @@ def run_spans(factory):
 
 
 def measured(factory, limit, plain):
-    """measure() of factory, or of a generator that iterates its Models."""
-    blocks = []
+    """measure() of factory, or of a generator that iterates its Models,
+    with the models its sink saw."""
+    sunk = []
     f = (lambda c: (m for m in factory(c))) if plain else factory
-    models, stats = measure(f, limit=limit, sink=lambda b: blocks.append(list(b)))
+    models, stats = measure(f, limit=limit, sink=sunk.extend)
     fields = asdict(stats)
     del fields["wall_ns"]
-    return models, fields, blocks
+    return models, fields, sunk
 
 
 def limits_around_runs(spans):
@@ -168,9 +191,10 @@ def test_a_run_samples_the_node_gauge_like_its_outputs():
     # nodes rise just before a run and fall before the next output
     def factory(ctr):
         def items():
-            yield 0
+            walk = GrayState(0, [0, 1])
+            yield walk.mask
             ctr.nodes += 5
-            yield [1, 2, 3]
+            yield from walk.runs()  # one run of three models
             ctr.nodes -= 5
             yield 4
 

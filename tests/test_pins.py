@@ -45,6 +45,9 @@ INSTANCES = {
     "monotone-wide": lambda: generate("monotone", 12, 10, seed=1),
     "unate": lambda: _unate(generate("monotone", 12, 10, seed=0)),
     "sets": lambda: generate("sets", 10, 8, seed=1),
+    # the acceptance suite's criterion-11 instance: after a short paced
+    # start, its first 10^6 models are runs of one Gray walk
+    "c11": lambda: generate("kdnf", 40, 1000, k=3, seed=11),
 }
 
 ALGO_INSTANCE = {
@@ -76,6 +79,11 @@ def _cases() -> dict[str, tuple[str, list[str]]]:
             cases[f"{algo}-limit-{limit}"] = (
                 "kdnf-wide", ["--algo", algo, "--format", "flips", "--limit", str(limit)]
             )
+    for fmt in ("bits", "flips"):
+        for limit in (123457, 1000000):
+            cases[f"kdnf-c11-{fmt}-{limit}"] = (
+                "c11", ["--algo", "kdnf", "--format", fmt, "--limit", str(limit)]
+            )
     return cases
 
 
@@ -88,7 +96,8 @@ CASES = _cases()
 #: construction by a per-frame bound, and the union-ordered and monotone-rs
 #: ones once a heap and a set of int masks replaced their binary tries, and
 #: the term-gray, union-priority and flashlight ones once every output was
-#: charged through charge_output: each moved step counts and no stream
+#: charged through charge_output: each moved step counts and no stream.
+#: The four kdnf-c11 pins were recorded while runs were still lists
 PINS = {
     "avg-bits": ("4110d857e5d51d45681f73bc02aeb09e", (6668, 872, 242, 7.49197247706422, 135)),
     "avg-flips": ("00675f7aa5526d06b16a282df244bbc2", (6668, 872, 242, 7.49197247706422, 135)),
@@ -96,6 +105,10 @@ PINS = {
     "avg-t10-flips": ("00675f7aa5526d06b16a282df244bbc2", (6936, 872, 246, 7.799311926605505, 135)),
     "flashlight-bits": ("4110d857e5d51d45681f73bc02aeb09e", (19620, 872, 103, 22.397935779816514, 89)),
     "flashlight-flips": ("00675f7aa5526d06b16a282df244bbc2", (19620, 872, 103, 22.397935779816514, 89)),
+    "kdnf-c11-bits-123457": ("d5c8f2d9cb71c3f6ea71366a4eafac34", (503211, 123457, 85, 4.017722769871291, 7195)),
+    "kdnf-c11-bits-1000000": ("ff4c1cd99a63c860f56872e36f309dc8", (4009383, 1000000, 85, 4.002188, 7195)),
+    "kdnf-c11-flips-123457": ("171fbbaadead5fc8dbb35f4135a97aab", (503211, 123457, 85, 4.017722769871291, 7195)),
+    "kdnf-c11-flips-1000000": ("6d4530fed021e592be4f1287ec449b4a", (4009383, 1000000, 85, 4.002188, 7195)),
     "kdnf-bits": ("9ca94d78cc66b613a80b301c9ca9b684", (18124, 4096, 29, 4.3515625, 300)),
     "kdnf-flips": ("5c30c163e69433aef7d013d4b910714d", (18124, 4096, 29, 4.3515625, 300)),
     "kdnf-hybrid-bits": ("1224a593dcbd6dfe823d6b9f307f81f4", (18725, 4096, 63, 4.498291015625, 300)),
