@@ -21,7 +21,6 @@ from .core import (
     make_term,
     mask_from_bits,
     parse_dnf,
-    restrict,
     satisfies,
 )
 from .graycode import GrayState, enum_single_term_dnf, enum_term_models
@@ -90,7 +89,6 @@ __all__ = [
     "normalize_unate",
     "parse_dnf",
     "parse_sets",
-    "restrict",
     "satisfies",
     "step_constant",
 ]

@@ -51,62 +51,58 @@ def _trie_dfs(
     `node_hook(tt, active, pos, mask)` may return a generator that takes
     over the whole subtree at that node.
     """
+    if tt.root.count == 0:
+        return
     n = tt.n
     L = len(active)
-
-    def gen():
-        if tt.root.count == 0:
-            return
-        mask = base_mask
-        counts: list = [None] * L
-        tokens: list = [None] * L
-        pos, trying = 0, 0
-        while True:
-            if pos == L:
-                ctr.charge_output(mask, n)
-                yield mask
-                trying = 2
-            elif trying == 0:
-                if node_hook is not None:
-                    sub = node_hook(tt, active, pos, mask)
-                    if sub is not None:
-                        yield from sub
-                        trying = 2
-                        continue
-                counts[pos] = tt.counts_for(active[pos])
-            if trying <= 1:
-                na, nb, rest = counts[pos]
-                sat = nb if trying else na
-                if sat + rest == 0:
-                    trying += 1
+    mask = base_mask
+    counts: list = [None] * L
+    tokens: list = [None] * L
+    pos, trying = 0, 0
+    while True:
+        if pos == L:
+            ctr.charge_output(mask, n)
+            yield mask
+            trying = 2
+        elif trying == 0:
+            if node_hook is not None:
+                sub = node_hook(tt, active, pos, mask)
+                if sub is not None:
+                    yield from sub
+                    trying = 2
                     continue
-                v = active[pos]
-                # fast only when raising x and the leftover side is the
-                # strict minority; ties rebuild (the cheap construction)
-                use_fast = fast and trying == 1 and rest < sat
-                if use_fast:
-                    if 2 * rest >= tt.root.count:
-                        raise RuntimeError(
-                            f"fast branch on x{v}: {rest} leftover terms are not a strict"
-                            f" minority of {tt.root.count}"
-                        )
-                tokens[pos] = tt.set_variable(v, trying, use_fast)
-                if trying:
-                    mask |= 1 << (n - v)
-                pos += 1
-                trying = 0
+            counts[pos] = tt.counts_for(active[pos])
+        if trying <= 1:
+            na, nb, rest = counts[pos]
+            sat = nb if trying else na
+            if sat + rest == 0:
+                trying += 1
                 continue
-            # a leaf, or a node whose branches are done: back up one level;
-            # the mask's bit there tells which branch ran
-            pos -= 1
-            if pos < 0:
-                return
-            tt.undo(tokens[pos])
-            bit = 1 << (n - active[pos])
-            trying = 2 if mask & bit else 1
-            mask &= ~bit
-
-    return gen()
+            v = active[pos]
+            # fast only when raising x and the leftover side is the
+            # strict minority; ties rebuild (the cheap construction)
+            use_fast = fast and trying == 1 and rest < sat
+            if use_fast:
+                if 2 * rest >= tt.root.count:
+                    raise RuntimeError(
+                        f"fast branch on x{v}: {rest} leftover terms are not a strict"
+                        f" minority of {tt.root.count}"
+                    )
+            tokens[pos] = tt.set_variable(v, trying, use_fast)
+            if trying:
+                mask |= 1 << (n - v)
+            pos += 1
+            trying = 0
+            continue
+        # a leaf, or a node whose branches are done: back up one level;
+        # the mask's bit there tells which branch ran
+        pos -= 1
+        if pos < 0:
+            return
+        tt.undo(tokens[pos])
+        bit = 1 << (n - active[pos])
+        trying = 2 if mask & bit else 1
+        mask &= ~bit
 
 
 #: mode tokens for enum_avg (also the CLI --mode values)

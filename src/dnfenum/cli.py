@@ -292,8 +292,10 @@ def _oracle_refusal(obj) -> str | None:
     return None
 
 
-def _parse_enum_args(p: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    """Add the flags that run and sweep share to p, parse argv, and check them."""
+def _parse_enum_args(
+    p: argparse.ArgumentParser, argv: list[str], ns: argparse.Namespace
+) -> argparse.Namespace:
+    """Add the flags that run and sweep share to p, parse argv into ns, and check them."""
     p.add_argument("--algo", required=True, choices=ALGOS)
     p.add_argument("--mode", choices=(MODE_SLOW, MODE_FAST), default=MODE_FAST,
                    help="branching strategy for --algo avg")
@@ -302,7 +304,7 @@ def _parse_enum_args(p: argparse.ArgumentParser, argv: list[str]) -> argparse.Na
     p.add_argument("--limit", type=int, default=None, help="stop after this many models")
     p.add_argument("--check-oracle", action="store_true",
                    help="verify the output against the brute-force oracle")
-    args = p.parse_args(argv)
+    args = p.parse_args(argv, ns)
     if args.limit is not None and args.limit < 0:
         p.error("--limit must be >= 0")
     if args.check_oracle and args.limit is not None:
@@ -310,7 +312,7 @@ def _parse_enum_args(p: argparse.ArgumentParser, argv: list[str]) -> argparse.Na
     return args
 
 
-def _cmd_run(argv: list[str]) -> int:
+def _cmd_run(argv: list[str], ns: argparse.Namespace) -> int:
     p = argparse.ArgumentParser(
         prog="dnfenum",
         description="Enumerate the models of a DNF formula (or the unions of a set family).",
@@ -319,7 +321,7 @@ def _cmd_run(argv: list[str]) -> int:
     p.add_argument("--count", action="store_true", help="print only the model count")
     p.add_argument("--stats", action="store_true", help="emit a JSON stats record to stderr")
     p.add_argument("--format", choices=("bits", "flips"), default="bits")
-    args = _parse_enum_args(p, argv)
+    args = _parse_enum_args(p, argv, ns)
 
     try:
         text = _read_input(args.file)
@@ -406,7 +408,7 @@ def _default_kind(algo: str) -> str:
     return "random"
 
 
-def _cmd_sweep(argv: list[str]) -> int:
+def _cmd_sweep(argv: list[str], ns: argparse.Namespace) -> int:
     p = argparse.ArgumentParser(
         prog="dnfenum sweep",
         description="Generate one instance per size, enumerate, and emit CSV delay stats.",
@@ -418,7 +420,7 @@ def _cmd_sweep(argv: list[str]) -> int:
                    help="comma-separated m values; empty string for a header-only CSV")
     p.add_argument("--seed", type=int, default=0, help="instance i uses seed+i")
     p.add_argument("-o", "--out", default="-")
-    args = _parse_enum_args(p, argv)
+    args = _parse_enum_args(p, argv, ns)
     kind = args.kind if args.kind is not None else _default_kind(args.algo)
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
@@ -455,13 +457,14 @@ def _cmd_sweep(argv: list[str]) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = list(sys.argv[1:]) if argv is None else list(argv)
+    ns = argparse.Namespace(algo=None)  # run and sweep parse into it; gen leaves it
     try:
         if args[:1] == ["gen"]:
             code = _cmd_gen(args[1:])
         elif args[:1] == ["sweep"]:
-            code = _cmd_sweep(args[1:])
+            code = _cmd_sweep(args[1:], ns)
         else:
-            code = _cmd_run(args)
+            code = _cmd_run(args, ns)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout early: stop quietly, and point stdout at
@@ -473,10 +476,7 @@ def main(argv: list[str] | None = None) -> int:
     else:
         return code
     # name the algorithm, if the command has one (gen has none)
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--algo")
-    algo = p.parse_known_args(args)[0].algo
-    hint = f" in --algo {algo}; --limit N stops the run after N models" if algo else ""
+    hint = f" in --algo {ns.algo}; --limit N stops the run after N models" if ns.algo else ""
     print(f"dnfenum: out of memory{hint}", file=sys.stderr)
     return EXIT_MEMORY
 

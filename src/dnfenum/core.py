@@ -17,10 +17,9 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 Term = tuple[int, ...]
-PartialAssignment = Mapping[int, int]
 
 BRUTE_FORCE_MAX_VARS = 24
 
@@ -151,48 +150,6 @@ def satisfies(d: Dnf, assignment: int) -> bool:
         if assignment & pos == pos and not assignment & neg:
             return True
     return False
-
-
-def _check_partial(d: Dnf, tau: PartialAssignment) -> None:
-    for v, b in tau.items():
-        if not 1 <= v <= d.n:
-            raise ValueError(f"variable {v} out of range for n={d.n}")
-        if b not in (0, 1):
-            raise ValueError(f"assignment value for x{v} must be 0 or 1, got {b!r}")
-
-
-def restrict(d: Dnf, tau: PartialAssignment) -> Dnf:
-    """The restriction of d under a partial assignment.
-
-    Terms falsified by tau are dropped and assigned variables are stripped
-    from the survivors.  A term whose literals are all satisfied becomes the
-    empty term, which makes the result a tautology over the remaining
-    variables (the Dnf constructor collapses it to the single empty term).
-    The result keeps the same n; assigned variables simply no longer occur,
-    so models of d compatible with tau are exactly models of the result
-    compatible with tau.
-    """
-    _check_partial(d, tau)
-    kept: list[tuple[int, ...]] = []
-    for t in d.terms:
-        out = []
-        for lit in t:
-            b = tau.get(abs(lit))
-            if b is None:
-                out.append(lit)
-            elif (lit > 0) != (b == 1):
-                break
-        else:
-            kept.append(tuple(out))
-    return Dnf(d.n, kept)
-
-
-def compatible(mask: int, tau: PartialAssignment, n: int) -> bool:
-    """True iff the full assignment agrees with tau on its domain."""
-    for v, b in tau.items():
-        if (mask >> (n - v)) & 1 != b:
-            return False
-    return True
 
 
 def brute_force_models(d: Dnf) -> set[int]:

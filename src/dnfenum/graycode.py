@@ -12,13 +12,12 @@ A walk holds the shift amount of each free variable (its bit is
 first reaches it, at output 2^j, so a walk that has made c outputs holds
 about log2(c) masks however wide the alphabet is.  Once nothing else runs
 between outputs, :meth:`GrayState.runs` hands out the rest of the walk as
-runs (see :mod:`dnfenum.instrument`), charged RUN_PRICE each;
-:func:`enum_term_models` and the kdnf frames both end that way.  A run is a
-slice of its walk, not a list: a :class:`GrayRun` holds the walk, its
-position and the masks just before and at its end, and makes the masks in
-between only when iterated.  Runs end on multiples of SINK_BLOCK in walk
-index, so the flips lines of a run are a slice of one pattern per walk plus
-at most one line at the block's end (:meth:`GrayRun.flips_text`).
+runs, whose contract :mod:`dnfenum.instrument` states;
+:func:`enum_term_models` and the kdnf frames both end that way.  A
+:class:`GrayRun` holds its walk, its position and the masks just before and
+at its end.  Runs end on multiples of SINK_BLOCK in walk index, so the
+flips lines of a run are a slice of one pattern per walk plus at most one
+line at the block's end (:meth:`GrayRun.flips_text`).
 """
 
 from __future__ import annotations
@@ -37,10 +36,10 @@ LOG_BLOCK = SINK_BLOCK.bit_length() - 1
 class GrayState:
     """Resumable Gray walk: a current mask plus per-slot shift amounts.
 
-    Callers emit ``mask`` first, then call advance(), take() or runs()
-    until remaining() is 0; :func:`_masks` is the one flip loop under all
-    three.  Keeping the walk as plain state (rather than a generator) lets
-    the budgeted enumerators suspend one walk, do other work, and resume it.
+    Callers emit ``mask`` first, then call advance() or runs() until
+    remaining() is 0.  Keeping the walk as plain state (rather than a
+    generator) lets the budgeted enumerators suspend one walk, do other
+    work, and resume it.
     """
 
     __slots__ = ("mask", "shifts", "bits", "i", "_pattern")
@@ -62,20 +61,13 @@ class GrayState:
         while len(bits) < i.bit_length():
             bits.append(1 << self.shifts[len(bits)])
 
-    def take(self, k: int) -> list[int]:
-        """The next k models (k <= remaining()), with no step charged: the
-        caller prices them."""
-        self._reach(self.i + k)
-        out = _masks(self.mask, self.bits, self.i, k)
-        self.i += k
-        if out:
-            self.mask = out[-1]
-        return out
-
     def advance(self, ctr: StepCounter) -> int:
         """The next model, charged the 2 steps of its flip."""
         ctr.n += 2
-        return self.take(1)[0]
+        i = self.i = self.i + 1
+        self._reach(i)
+        self.mask ^= self.bits[(i & -i).bit_length() - 1]
+        return self.mask
 
     def runs(self) -> Iterator[GrayRun]:
         """The rest of the walk as runs, not yet charged.  Each run ends at

@@ -26,12 +26,11 @@ its walk last handed out.  A run holds no list of masks: it has a length
 and a last mask, makes its masks only when iterated, and can be cut to its
 first k models.  Such an enumerator returns a :class:`Models`, whose
 ``items`` is the raw stream of int masks and runs: every item that is not
-an int is a run.  Iterating a Models
-gives plain int masks and charges each run output on the counter as it is
-handed out, so a caller that iterates sees exactly the per-output counter
-values of an enumerator that charged every output itself.  :func:`measure`
-reads ``items`` instead and folds each run into its tallies with a few
-additions, from its length and last mask alone.
+an int is a run.  Iterating a Models gives plain int masks and charges
+each run output on the counter as it is handed out, so a caller that
+iterates sees exactly the per-output counter values of an enumerator that
+charged every output itself.  :func:`measure` reads ``items`` instead and
+folds each run into its tallies from its length and last mask alone.
 """
 
 from __future__ import annotations
@@ -46,9 +45,8 @@ class StepCounter:
     """Mutable step tally plus a coarse gauge of allocated trie nodes (or
     frontier entries and stored models, for enumerators that hold no trie).
 
-    Every enumerator charges each of its outputs through charge_output (or
-    a run, at RUN_PRICE), which remembers the last model charged, so
-    enumerators nested on one counter price their outputs as one stream.
+    charge_output remembers the last model charged, so enumerators nested
+    on one counter price their outputs as one stream.
     """
 
     __slots__ = ("n", "nodes", "last")
@@ -115,12 +113,8 @@ def _flatten(items: Iterable, ctr: StepCounter) -> Iterator[int]:
 
 
 class Models:
-    """An enumerator's models as an iterator of int masks.
-
-    ``items`` is the underlying stream of int masks and runs;
-    iterating the Models itself charges each run output, at RUN_PRICE, on
-    the enumerator's counter as that output is handed out.
-    """
+    """An enumerator's models as an iterator of int masks, over its raw
+    ``items`` stream (see the module docstring)."""
 
     __slots__ = ("items", "_flat")
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .avg import _trie_dfs
-from .core import MAX_INPUT_VARS, Dnf, PartialAssignment, Term, lit_index
+from .core import MAX_INPUT_VARS, Dnf, Term, lit_index
 from .graycode import GrayState
 from .instrument import Models, StepCounter
 from .trie import TermTrie
@@ -30,27 +30,6 @@ from .trie import TermTrie
 #: kdnf-hybrid hands a frame of fewer than LAMBDA_DEFAULT * k live
 #: variables to the trie DFS
 LAMBDA_DEFAULT = 3.55301
-
-
-def partition_assignments(t: Term) -> tuple[PartialAssignment, list[PartialAssignment]]:
-    """The satisfying assignment of t and the per-variable flip prefixes.
-
-    For y in var(t) ascending, the y-th prefix agrees with t strictly below
-    y and flips y; together with t's own assignment these classes partition
-    all assignments.
-    """
-    if not t:
-        raise ValueError("empty term has no partition")
-    one = {abs(lit): (1 if lit > 0 else 0) for lit in t}
-    cofs = []
-    prefix: dict[int, int] = {}
-    for lit in t:
-        y = abs(lit)
-        block = dict(prefix)
-        block[y] = 1 - one[y]
-        cofs.append(block)
-        prefix[y] = one[y]
-    return one, cofs
 
 
 def choose_min_term(d: Dnf) -> Term:
@@ -147,12 +126,14 @@ def _build_children(F: _Frame, cfg: KdnfConfig, ctr: StepCounter, n: int):
     Each block scans every term against the block's partial assignment,
     dropping falsified terms and stripping satisfied literals; surviving
     words go into a fresh trie that dedups and tracks the new shortest
-    term on the fly.
+    term on the fly.  A tautology frame (T empty) has no blocks: its Gray
+    walk covers every model.
     """
-    if not F.min_word:  # a tautology frame: its Gray walk covers every model
-        return
-    term = tuple(s // 2 + 1 if s & 1 else -(s // 2 + 1) for s in F.min_word)
-    for y, delta in zip(map(abs, term), partition_assignments(term)[1]):
+    # the block's partial assignment: T's values before y, then y flipped
+    delta: dict[int, int] = {}
+    for s in F.min_word:
+        y = s // 2 + 1
+        delta[y] = 1 - (s & 1)
         child_tt = TermTrie(n, counter=ctr)
         min_key = None  # (width, word) of the shortest term so far
         for w in F.tt.iter_words():
@@ -194,6 +175,7 @@ def _build_children(F: _Frame, cfg: KdnfConfig, ctr: StepCounter, n: int):
             yield
         else:
             child_tt.release()  # no term survives: the block has no models
+        delta[y] = s & 1
 
 
 def _kdnf_walk(d: Dnf, cfg: KdnfConfig | None, counter: StepCounter | None, hybrid: bool):

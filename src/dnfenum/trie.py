@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .core import Dnf, Term, lit_index
+from .core import Dnf, lit_index
 from .instrument import StepCounter
 
 #: "no words below" sentinel for minlen tracking
@@ -441,13 +441,6 @@ class TermTrie(Trie):
         for t in d.terms:
             tt.insert(tuple(lit_index(lit) for lit in t))
         return tt
-
-    def decode(self) -> list[Term]:
-        """The current word set as canonical terms, sorted in trie order."""
-        out = []
-        for w in sorted(self.iter_words()):
-            out.append(tuple(s // 2 + 1 if s & 1 else -(s // 2 + 1) for s in w))
-        return out
 
     def counts_for(self, v: int) -> tuple[int, int, int]:
         """Subtree sizes (terms with -v, with v, with neither) at the root."""

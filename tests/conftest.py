@@ -7,12 +7,14 @@ import random
 import sys
 from contextlib import contextmanager
 from pathlib import Path
+from typing import Mapping
 
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, settings
 
 import dnfenum
-from dnfenum.core import Dnf, make_term
+from dnfenum.core import Dnf, Term, make_term
+from dnfenum.trie import TermTrie
 
 settings.register_profile(
     "suite",
@@ -81,6 +83,56 @@ def random_dnf(rng: random.Random, n: int, m: int, min_width: int = 1, max_width
             seen.add(t)
             out.append(t)
     return Dnf(n, tuple(out))
+
+
+def _check_partial(d: Dnf, tau: Mapping[int, int]) -> None:
+    for v, b in tau.items():
+        if not 1 <= v <= d.n:
+            raise ValueError(f"variable {v} out of range for n={d.n}")
+        if b not in (0, 1):
+            raise ValueError(f"assignment value for x{v} must be 0 or 1, got {b!r}")
+
+
+def restrict(d: Dnf, tau: Mapping[int, int]) -> Dnf:
+    """The restriction of d under a partial assignment.
+
+    Terms falsified by tau are dropped and assigned variables are stripped
+    from the survivors.  A term whose literals are all satisfied becomes the
+    empty term, which makes the result a tautology over the remaining
+    variables (the Dnf constructor collapses it to the single empty term).
+    The result keeps the same n; assigned variables simply no longer occur,
+    so models of d compatible with tau are exactly models of the result
+    compatible with tau.
+    """
+    _check_partial(d, tau)
+    kept: list[tuple[int, ...]] = []
+    for t in d.terms:
+        out = []
+        for lit in t:
+            b = tau.get(abs(lit))
+            if b is None:
+                out.append(lit)
+            elif (lit > 0) != (b == 1):
+                break
+        else:
+            kept.append(tuple(out))
+    return Dnf(d.n, kept)
+
+
+def compatible(mask: int, tau: Mapping[int, int], n: int) -> bool:
+    """True iff the full assignment agrees with tau on its domain."""
+    for v, b in tau.items():
+        if (mask >> (n - v)) & 1 != b:
+            return False
+    return True
+
+
+def decode(tt: TermTrie) -> list[Term]:
+    """The trie's current word set as canonical terms, sorted in trie order."""
+    out = []
+    for w in sorted(tt.iter_words()):
+        out.append(tuple(s // 2 + 1 if s & 1 else -(s // 2 + 1) for s in w))
+    return out
 
 
 #: most terms inclusion_exclusion_count takes: it walks up to 2^m subsets

@@ -6,10 +6,10 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from conftest import dnfs, random_dnf
+from conftest import decode, dnfs, random_dnf
 from dnfenum.avg import GAMMA, MODE_FAST, MODE_SLOW, enum_avg, min_models_bound
 from dnfenum.classic import enum_flashlight
-from dnfenum.core import Dnf, all_terms, brute_force_models, restrict
+from dnfenum.core import Dnf, all_terms, brute_force_models
 from dnfenum.instances import generate
 from dnfenum.instrument import measure
 from dnfenum.trie import TermTrie
@@ -58,7 +58,7 @@ def test_every_visited_node_keeps_the_model_bound(monkeypatch):
     def watched(tt, v):
         # the DFS reads the split on x_v once per search node, with
         # x_1..x_{v-1} set
-        live = Dnf(tt.n, tt.decode())
+        live = Dnf(tt.n, decode(tt))
         if live.terms != ((),):
             seen.append((live, v - 1))
         return counts_for(tt, v)

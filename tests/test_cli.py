@@ -194,6 +194,7 @@ def test_a_long_gray_stream_matches_per_model_encoder(c11_file, algo, fmt, capsy
 def test_runs_are_not_built_to_be_counted_or_flip_written(c11_file, fmt, monkeypatch, capsys):
     built = 0
     real = graycode._masks
+    real_advance = graycode.GrayState.advance
 
     def counting(*args):
         nonlocal built
@@ -201,7 +202,13 @@ def test_runs_are_not_built_to_be_counted_or_flip_written(c11_file, fmt, monkeyp
         built += len(out)
         return out
 
+    def advancing(g, ctr):
+        nonlocal built
+        built += 1
+        return real_advance(g, ctr)
+
     monkeypatch.setattr(graycode, "_masks", counting)
+    monkeypatch.setattr(graycode.GrayState, "advance", advancing)
     assert main(["--algo", "kdnf", "--limit", "1000000", fmt, c11_file]) == 0
     lines = capsys.readouterr().out.count("\n")
     assert lines == (1 if fmt == "--count" else 1000000)
@@ -814,6 +821,22 @@ def test_check_oracle_keeps_no_list_of_its_models(tmp_path):
     assert int(r.stdout) > 3 * 10**6
 
 
+def test_one_wide_term_runs_in_memory_linear_in_its_width(tmp_path):
+    # one term of width 2,048 has one model.  Its frame's k blocks share one
+    # prefix dict of at most k entries, and the run needs under half the
+    # cap; a dict per block, k^2/2 entries in all (about 97 MB RSS), would
+    # exceed it
+    f = tmp_path / "wide.dnf"
+    f.write_text("p dnf 2048 1\n" + " ".join(map(str, range(1, 2049))) + " 0\n")
+    cap = 60 * 2**20
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    r = run_cli(["--algo", "kdnf", "--count", str(f)], preexec_fn=limit_memory, timeout=120)
+    assert (r.returncode, r.stdout, r.stderr) == (0, "1\n", "")
+
+
 @pytest.mark.parametrize(
     "args, line",
     [
@@ -822,14 +845,19 @@ def test_check_oracle_keeps_no_list_of_its_models(tmp_path):
             ["sweep", "--algo=avg", "--n", "5", "--sizes", "3"],
             "dnfenum: out of memory in --algo avg; --limit N stops the run after N models\n",
         ),
+        (
+            ["--algo=kdnf", "in.dnf"],
+            "dnfenum: out of memory in --algo kdnf; --limit N stops the run after N models\n",
+        ),
     ],
-    ids=["gen", "sweep"],
+    ids=["gen", "sweep", "run"],
 )
 def test_out_of_memory_names_the_algorithm_if_any(monkeypatch, capsys, args, line):
     def exhausted(*a, **kw):
         raise MemoryError
 
     monkeypatch.setattr("dnfenum.cli.generate", exhausted)
+    monkeypatch.setattr("dnfenum.cli._read_input", exhausted)
     assert main(args) == 5
     assert capsys.readouterr().err == line
 

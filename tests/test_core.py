@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from conftest import dnfs
+from conftest import compatible, dnfs, restrict
 import dnfenum
 from dnfenum.core import (
     BRUTE_FORCE_MAX_VARS,
@@ -19,13 +19,11 @@ from dnfenum.core import (
     all_terms,
     bits_from_mask,
     brute_force_models,
-    compatible,
     dumps_dnf,
     lit_index,
     make_term,
     mask_from_bits,
     parse_dnf,
-    restrict,
     satisfies,
 )
 

@@ -125,7 +125,7 @@ def test_single_term_dnf_requires_one_term():
 
 @pytest.mark.parametrize("k", [0, 1, 2, 5, 9])
 @given(data=st.data())
-def test_take_matches_repeated_advance(k, data):
+def test_advance_and_runs_match_the_closed_form(k, data):
     # both against the closed form, not one against the other
     shifts = data.draw(st.permutations(range(k + 3)))[:k]
     start = data.draw(st.integers(0, (1 << (k + 3)) - 1))
@@ -134,21 +134,21 @@ def test_take_matches_repeated_advance(k, data):
     ctr = StepCounter()
     assert [ref.advance(ctr) for _ in range(ref.remaining())] == want
     assert ctr.n == 2 * len(want)
-    # cut the walk at random points, possibly twice at one point
-    cuts = sorted(data.draw(st.lists(st.integers(0, len(want)), max_size=6)))
+    # advance to a random point, then hand out the rest as runs
+    cut = data.draw(st.integers(0, len(want)))
     g = GrayState(start, shifts)
-    got = []
-    for cut in cuts + [len(want)]:
-        got += g.take(cut - len(got))
-        assert (g.i, g.mask) == (len(got), (got or [start])[-1])
+    got = [g.advance(ctr) for _ in range(cut)]
+    assert (g.i, g.mask) == (cut, (got or [start])[-1])
+    got += [m for r in g.runs() for m in r]
     assert got == want
-    assert g.take(0) == []
+    assert (g.i, g.mask) == (len(want), (want or [start])[-1])
 
 
 def test_runs_hand_out_the_rest_of_the_walk():
     shifts = list(range(13))
     g = GrayState(0b101, shifts)
-    g.take(5)
+    for _ in range(5):
+        g.advance(StepCounter())
     runs = list(g.runs())
     # runs end on multiples of SINK_BLOCK in walk index, and at the walk's end
     assert [len(r) for r in runs] == [SINK_BLOCK - 5, SINK_BLOCK - 1]
@@ -178,7 +178,8 @@ def test_a_run_and_its_cuts_give_their_masks_and_flips_lines(slots, data):
     shifts = data.draw(st.permutations(range(n)))[:slots]
     start = data.draw(st.integers(0, (1 << n) - 1))
     g = GrayState(start, shifts)
-    g.take(data.draw(st.integers(0, g.remaining() - 1)))
+    for _ in range(data.draw(st.integers(0, g.remaining() - 1))):
+        g.advance(StepCounter())
     for run in g.runs():
         cut = data.draw(st.integers(1, len(run)))
         for r in (run, run.cut(cut)):
@@ -195,7 +196,9 @@ def test_slot_masks_are_built_on_first_reach():
     assert g.bits == []
     g.advance(ctr)
     assert g.bits == [1 << 40]
-    g.take(2)
+    g.advance(ctr)
+    g.advance(ctr)
     assert g.bits == [1 << 40, 1 << 30]
-    g.take(g.remaining())
+    while g.remaining():
+        g.advance(ctr)
     assert g.bits == [1 << 40, 1 << 30, 1 << 20, 1 << 10]

@@ -13,7 +13,7 @@ import hypothesis.strategies as st
 
 from conftest import child_env, dnfs, random_dnf
 from dnfenum.avg import enum_avg
-from dnfenum.core import Dnf, brute_force_models, compatible, make_term, satisfies
+from dnfenum.core import Dnf, brute_force_models, satisfies
 from dnfenum.graycode import enum_term_models
 from dnfenum.instances import generate
 from dnfenum.instrument import measure
@@ -24,38 +24,9 @@ from dnfenum.kdnf import (
     choose_min_term,
     enum_kdnf,
     enum_kdnf_hybrid,
-    partition_assignments,
     step_constant,
     _kdnf_tagged,
 )
-
-
-def test_partition_assignments_example():
-    one, cofs = partition_assignments(make_term([1, 2, -3]))
-    assert one == {1: 1, 2: 1, 3: 0}
-    assert cofs == [{1: 0}, {1: 1, 2: 0}, {1: 1, 2: 1, 3: 1}]
-
-
-def test_partition_assignments_single_literal():
-    one, cofs = partition_assignments((1,))
-    assert one == {1: 1}
-    assert cofs == [{1: 0}]
-    with pytest.raises(ValueError):
-        partition_assignments(())
-
-
-@settings(max_examples=100)
-@given(st.data())
-def test_partition_classes_cover_everything_once(data):
-    from conftest import terms
-
-    n = data.draw(st.integers(1, 8))
-    t = data.draw(terms(n))
-    one, cofs = partition_assignments(t)
-    classes = [one] + cofs
-    for a in range(1 << n):
-        hits = sum(compatible(a, c, n) for c in classes)
-        assert hits == 1
 
 
 def test_choose_min_term():

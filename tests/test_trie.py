@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from conftest import dnfs
+from conftest import decode, dnfs, restrict
 from dnfenum import (
     enum_avg,
     enum_kdnf,
@@ -16,7 +16,7 @@ from dnfenum import (
     enum_monotone_log,
     enum_unions,
 )
-from dnfenum.core import Dnf, lit_index, restrict
+from dnfenum.core import Dnf, lit_index
 from dnfenum.instances import generate
 from dnfenum.instrument import StepCounter, measure
 from dnfenum.trie import NO_WORDS, TermTrie, Trie
@@ -343,7 +343,7 @@ def test_merge_and_undo_match_the_per_word_merge(seed, payload, track):
         new.undo(tok_new)
         ref.undo(tok_ref)
         assert_same_trie(new, ref)
-    assert sorted(new.decode()) == sorted(terms)
+    assert sorted(decode(new)) == sorted(terms)
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -381,7 +381,7 @@ def test_merge_undo_costs_the_same_with_and_without_minlen(seed):
     while stack:
         undo_both()
         check()
-    assert sorted(track.decode()) == sorted(d.terms)
+    assert sorted(decode(track)) == sorted(d.terms)
 
 
 def test_fast_restriction_of_an_absent_literal_leaves_the_node_gauge_alone():
@@ -392,7 +392,7 @@ def test_fast_restriction_of_an_absent_literal_leaves_the_node_gauge_alone():
     for _ in range(3):
         tt.undo(tt.set_variable(1, 1, fast=True))
         assert tt.node_count == tt.counter.nodes == 3
-    assert sorted(tt.decode()) == [(2,), (3,)]
+    assert sorted(decode(tt)) == [(2,), (3,)]
 
 
 @pytest.mark.parametrize("fast,steps", [(False, 3), (True, 1)], ids=["detach", "reroot"])
@@ -418,7 +418,7 @@ def test_bare_literal_absorbs_at_fixed_charges(fast, steps):
         assert ctr.n - n0 == 2
     tt.undo(token)
     assert (node_table(tt), tt.node_count, ctr.nodes) == before
-    assert sorted(tt.decode()) == [(1,), (2, 3)]
+    assert sorted(decode(tt)) == [(1,), (2, 3)]
 
 
 def test_release_takes_a_trie_off_the_gauge():
@@ -482,7 +482,7 @@ def test_a_finished_run_leaves_only_the_tries_it_holds_on_the_gauge(factory, kee
 @given(dnfs(max_n=8, max_m=10))
 def test_from_dnf_decode_round_trip(d):
     tt = TermTrie.from_dnf(d)
-    assert sorted(tt.decode()) == sorted(d.terms)
+    assert sorted(decode(tt)) == sorted(d.terms)
     assert len(tt) == d.m
 
 
@@ -490,16 +490,16 @@ def test_set_variable_to_zero_dedups():
     d = Dnf(2, ((1,), (-1, 2), (2,)))
     tt = TermTrie.from_dnf(d)
     token = tt.set_variable(1, 0)
-    assert tt.decode() == [(2,)]  # {x2} arrived from two sources, kept once
+    assert decode(tt) == [(2,)]  # {x2} arrived from two sources, kept once
     tt.undo(token)
-    assert sorted(tt.decode()) == sorted(d.terms)
+    assert sorted(decode(tt)) == sorted(d.terms)
 
 
 def test_set_variable_to_one_gives_tautology():
     d = Dnf(2, ((1,), (-1, 2), (2,)))
     tt = TermTrie.from_dnf(d)
     tt.set_variable(1, 1)
-    assert tt.decode() == [()]
+    assert decode(tt) == [()]
 
 
 def test_counts_for():
@@ -515,9 +515,9 @@ def test_counts_for():
 def test_set_variable_matches_restrict(d, b):
     tt = TermTrie.from_dnf(d)
     token = tt.set_variable(1, b)
-    assert set(tt.decode()) == set(restrict(d, {1: b}).terms)
+    assert set(decode(tt)) == set(restrict(d, {1: b}).terms)
     tt.undo(token)
-    assert set(tt.decode()) == set(d.terms)
+    assert set(decode(tt)) == set(d.terms)
 
 
 @settings(max_examples=200)
@@ -527,15 +527,15 @@ def test_set_variable_fast_equivalent(d):
     b = TermTrie.from_dnf(d)
     ta = a.set_variable(1, 1)
     tb = b.set_variable(1, 1, fast=True)
-    assert sorted(a.decode()) == sorted(b.decode())
+    assert sorted(decode(a)) == sorted(decode(b))
     a.undo(ta)
     b.undo(tb)
-    assert sorted(a.decode()) == sorted(b.decode()) == sorted(d.terms)
+    assert sorted(decode(a)) == sorted(decode(b)) == sorted(d.terms)
 
 
 @given(dnfs(max_n=7, max_m=9), st.data())
 def test_restriction_walk_with_undo(d, data):
-    """A random walk of set/undo always mirrors core.restrict."""
+    """A random walk of set/undo always mirrors conftest.restrict."""
     tt = TermTrie.from_dnf(d, track_minlen=True)
     stack: list[tuple] = []
     tau: dict[int, int] = {}
@@ -554,9 +554,9 @@ def test_restriction_walk_with_undo(d, data):
             tt.undo(token)
             del tau[v]
             next_var = v
-        assert set(tt.decode()) == set(restrict(d, tau).terms)
+        assert set(decode(tt)) == set(restrict(d, tau).terms)
         if tt.root.count:
-            assert tt.root.minlen == min(len(t) for t in tt.decode())
+            assert tt.root.minlen == min(len(t) for t in decode(tt))
 
 
 def test_undo_is_lifo_only():
@@ -566,4 +566,4 @@ def test_undo_is_lifo_only():
     t2 = tt.set_variable(2, 0)
     tt.undo(t2)
     tt.undo(t1)
-    assert set(tt.decode()) == set(d.terms)
+    assert set(decode(tt)) == set(d.terms)
