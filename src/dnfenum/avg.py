@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 
-from .core import Dnf
+from .core import MODE_FAST, MODE_SLOW, Dnf
 from .instrument import StepCounter
 from .trie import TermTrie
 
@@ -103,11 +103,6 @@ def _trie_dfs(
         bit = 1 << (n - active[pos])
         trying = 2 if mask & bit else 1
         mask &= ~bit
-
-
-#: mode tokens for enum_avg (also the CLI --mode values)
-MODE_SLOW = "t10"  # strip-and-reinsert on every branch
-MODE_FAST = "t11"  # greedy re-rooting when raising a variable
 
 
 def enum_avg(d: Dnf, mode: str = MODE_FAST, *, counter: StepCounter | None = None):

@@ -30,23 +30,28 @@ lines; for the others a line may hold up to n positions.
 With ``--stats``, one JSON record goes to stderr.  Delays are measured in
 instrumented steps (wall_ns is informational only), and identical inputs,
 flags, and seeds give identical step counts and byte-identical streams.
+
+A command loads only its own modules: a run imports the module of its
+``--algo`` and nothing for ``gen`` or ``sweep``, whatever its ``--format``,
+``--stats``, ``--count`` or ``--limit``.  :func:`main` runs with the cyclic
+garbage collector off, since nothing a run builds holds a reference cycle,
+and turns it back on, if it was on, before it returns.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import gc
 import os
 import sys
 from itertools import chain
 from operator import xor
 from typing import Callable, Iterator
 
-from .avg import MODE_FAST, MODE_SLOW, enum_avg
-from .classic import enum_flashlight, enum_union_ordered, enum_union_priority
 from .core import (
     BRUTE_FORCE_MAX_VARS,
+    MODE_FAST,
+    MODE_SLOW,
     Dnf,
     DnfFormatError,
     bits_from_mask,
@@ -54,24 +59,7 @@ from .core import (
     dumps_dnf,
     parse_dnf,
 )
-from .graycode import GrayRun, enum_single_term_dnf
-from .instances import generate
 from .instrument import StepCounter, measure
-from .kdnf import KdnfConfig, enum_kdnf, enum_kdnf_hybrid
-from .monotone import (
-    enum_monotone_avg,
-    enum_monotone_log,
-    enum_monotone_rs,
-    normalize_unate,
-)
-from .setunion import (
-    ORACLE_MAX_SETS,
-    SetFamily,
-    brute_force_unions,
-    dumps_sets,
-    enum_unions,
-    parse_sets,
-)
 
 ALGOS = (
     "term-gray",
@@ -134,10 +122,11 @@ class _StreamWriter:
 
     ``bits`` gives each model its full bit string.  ``flips`` gives the first
     model of the run its bit string and every later model the ascending
-    1-based positions in which it differs from its predecessor.  A Gray run
-    that follows the last model written gives its lines itself
-    (:meth:`GrayRun.flips_text`); any other block is looked up model by
-    model in a :class:`_FlipLines` table that fills as the stream goes.
+    1-based positions in which it differs from its predecessor.  A block
+    that is not a list is a Gray run (see ``instrument``); one that follows
+    the last model written gives its lines itself (``flips_text``).  Any
+    other block is looked up model by model in a :class:`_FlipLines` table
+    that fills as the stream goes.
     Between blocks the writer keeps only the last model and that table.
     """
 
@@ -148,12 +137,12 @@ class _StreamWriter:
         self.prev: int | None = None
         self.flip_lines = _FlipLines(n) if fmt == "flips" else None
 
-    def __call__(self, block: list[int] | GrayRun) -> None:
+    def __call__(self, block) -> None:
         n = self.n
         if self.flip_lines is None:
             # format() pads to at least one digit, so n = 0 needs its own case
             lines = [format(m, self.spec) for m in block] if n else [""] * len(block)
-        elif type(block) is GrayRun and block.prev == self.prev:
+        elif type(block) is not list and block.prev == self.prev:
             self.out.write(block.flips_text(n))
             self.prev = block.last
             return
@@ -177,11 +166,16 @@ def _read_input(path: str) -> str:
 
 
 def _make_factory(args, obj) -> Callable[[StepCounter], Iterator[int]]:
-    """Bind an algorithm to a parsed instance; raises ValueError on misuse."""
+    """Bind an algorithm to a parsed instance; raises ValueError on misuse.
+
+    Each branch imports its algorithm's module, so a run loads only its own.
+    """
     algo = args.algo
     if algo == "setunion":
-        if not isinstance(obj, SetFamily):
+        if isinstance(obj, Dnf):
             raise ValueError("--algo setunion needs a .sets family")
+        from .setunion import enum_unions
+
         return lambda ctr: enum_unions(obj, counter=ctr)
     d = obj
     if not isinstance(d, Dnf):
@@ -189,14 +183,17 @@ def _make_factory(args, obj) -> Callable[[StepCounter], Iterator[int]]:
     if algo == "term-gray":
         if d.m != 1:
             raise ValueError(f"--algo term-gray needs exactly one term, got {d.m}")
+        from .graycode import enum_single_term_dnf
+
         return lambda ctr: enum_single_term_dnf(d, counter=ctr)
-    if algo == "union-priority":
-        return lambda ctr: enum_union_priority(d, counter=ctr)
-    if algo == "union-ordered":
-        return lambda ctr: enum_union_ordered(d, counter=ctr)
-    if algo == "flashlight":
-        return lambda ctr: enum_flashlight(d, counter=ctr)
+    if algo in ("union-priority", "union-ordered", "flashlight"):
+        from . import classic
+
+        fn = getattr(classic, "enum_" + algo.replace("-", "_"))
+        return lambda ctr: fn(d, counter=ctr)
     if algo in ("kdnf", "kdnf-hybrid"):
+        from .kdnf import KdnfConfig, enum_kdnf, enum_kdnf_hybrid
+
         wmax = max((len(t) for t in d.terms), default=1)
         if args.k is not None and args.k < wmax:
             raise ValueError(f"--k {args.k} is below the maximum term width {wmax}")
@@ -204,18 +201,18 @@ def _make_factory(args, obj) -> Callable[[StepCounter], Iterator[int]]:
         fn = enum_kdnf if algo == "kdnf" else enum_kdnf_hybrid
         return lambda ctr: fn(d, cfg, counter=ctr)
     if algo == "avg":
+        from .avg import enum_avg
+
         return lambda ctr: enum_avg(d, args.mode, counter=ctr)
     if algo == "monotone-rs" and d.n > RS_MAX_VARS:
         raise ValueError(f"--algo monotone-rs needs n <= {RS_MAX_VARS}")
+    from . import monotone
+
     # the monotone family accepts any unate formula: single-polarity
     # negative variables are flipped on the way in and the models on the
     # way out, which changes neither deltas nor step counts
-    md, flip = normalize_unate(d)
-    fn = {
-        "monotone-rs": enum_monotone_rs,
-        "monotone-avg": enum_monotone_avg,
-        "monotone-log": enum_monotone_log,
-    }[algo]
+    md, flip = monotone.normalize_unate(d)
+    fn = getattr(monotone, "enum_" + algo.replace("-", "_"))
     # flip may be 0.  The generator expression calls fn at once, so the
     # enumerator's setup is still counted as precompute
     return lambda ctr: (mask ^ flip for mask in fn(md, counter=ctr))
@@ -231,7 +228,7 @@ class _OracleCheck:
 
     def __init__(self, obj):
         self.obj = obj
-        self.family = isinstance(obj, SetFamily)
+        self.family = not isinstance(obj, Dnf)
         self.seen: set[int] | bytearray = set() if self.family else bytearray(((1 << obj.n) + 7) >> 3)
         self.stray = 0  # masks outside the 2^n assignments, all spurious
         self.dups = 0
@@ -265,6 +262,8 @@ class _OracleCheck:
             print(f"dnfenum: oracle mismatch: {self.dups} duplicate {what}", file=sys.stderr)
             return False
         if self.family:
+            from .setunion import brute_force_unions
+
             expect = set(brute_force_unions(self.obj))
             missing = len(expect - self.seen)
             extra = len(self.seen - expect)
@@ -284,7 +283,9 @@ class _OracleCheck:
 
 def _oracle_refusal(obj) -> str | None:
     """Why the brute-force oracle cannot check obj, or None if it can."""
-    if isinstance(obj, SetFamily):
+    if not isinstance(obj, Dnf):
+        from .setunion import ORACLE_MAX_SETS
+
         if obj.m > ORACLE_MAX_SETS:
             return f"--check-oracle needs m <= {ORACLE_MAX_SETS} sets"
     elif obj.n > BRUTE_FORCE_MAX_VARS:
@@ -329,7 +330,12 @@ def _cmd_run(argv: list[str], ns: argparse.Namespace) -> int:
         print(f"dnfenum: cannot read {args.file}: {e}", file=sys.stderr)
         return EXIT_INPUT
     try:
-        obj = parse_sets(text) if args.algo == "setunion" else parse_dnf(text)
+        if args.algo == "setunion":
+            from .setunion import parse_sets
+
+            obj = parse_sets(text)
+        else:
+            obj = parse_dnf(text)
         factory = _make_factory(args, obj)
     except (DnfFormatError, ValueError) as e:
         print(f"dnfenum: {e}", file=sys.stderr)
@@ -375,6 +381,9 @@ def _write_output(path: str, text: str) -> int:
 
 
 def _cmd_gen(argv: list[str]) -> int:
+    from .instances import generate
+    from .setunion import SetFamily, dumps_sets
+
     p = argparse.ArgumentParser(prog="dnfenum gen", description="Generate a random instance.")
     p.add_argument("--kind", required=True, choices=GEN_KINDS)
     p.add_argument("--n", type=int, required=True)
@@ -409,6 +418,11 @@ def _default_kind(algo: str) -> str:
 
 
 def _cmd_sweep(argv: list[str], ns: argparse.Namespace) -> int:
+    import csv
+    import io
+
+    from .instances import generate
+
     p = argparse.ArgumentParser(
         prog="dnfenum sweep",
         description="Generate one instance per size, enumerate, and emit CSV delay stats.",
@@ -455,9 +469,22 @@ def _cmd_sweep(argv: list[str], ns: argparse.Namespace) -> int:
     return _write_output(args.out, out.getvalue())
 
 
+def __getattr__(name: str):
+    # generate is gen's and sweep's: a run does not load instances for it
+    if name == "generate":
+        from .instances import generate
+
+        return generate
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = list(sys.argv[1:]) if argv is None else list(argv)
     ns = argparse.Namespace(algo=None)  # run and sweep parse into it; gen leaves it
+    # what a run builds holds no reference cycle, so the cyclic collector
+    # would only walk the growing trie again and again for nothing
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         if args[:1] == ["gen"]:
             code = _cmd_gen(args[1:])
@@ -475,6 +502,9 @@ def main(argv: list[str] | None = None) -> int:
         pass  # reported below, once the traceback has let the run's memory go
     else:
         return code
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     # name the algorithm, if the command has one (gen has none)
     hint = f" in --algo {ns.algo}; --limit N stops the run after N models" if ns.algo else ""
     print(f"dnfenum: out of memory{hint}", file=sys.stderr)

@@ -23,6 +23,11 @@ Term = tuple[int, ...]
 
 BRUTE_FORCE_MAX_VARS = 24
 
+#: mode tokens for avg.enum_avg, kept here because they are also the CLI
+#: --mode values and a run that is not avg's does not load avg
+MODE_SLOW = "t10"  # strip-and-reinsert on every branch
+MODE_FAST = "t11"  # greedy re-rooting when raising a variable
+
 #: largest alphabet the parsers accept: a header n above it is refused, so a
 #: huge n fails as malformed input instead of exhausting memory
 MAX_INPUT_VARS = 1 << 16

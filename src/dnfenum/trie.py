@@ -172,34 +172,56 @@ class Trie:
         return node is not None
 
     def insert_get(self, word: Sequence[int]) -> tuple[_Node | None, _Node]:
-        """Like insert, but returns (leaf-if-new-else-None, leaf)."""
-        ctr = self.counter
+        """Like insert, but returns (leaf-if-new-else-None, leaf).
+
+        Walks the prefix already in the trie, then builds the missing suffix
+        as one chain from its leaf up and links it in once.  Charges
+        len(word) + 1 plus one per node made.
+        """
+        self._check_word(word)
+        track = self.track_minlen
+        total = len(word)
         node = self.root
         path = [node]
-        self._check_word(word)
-        made = 0
-        for s in word:
-            nxt = self._get(node, s)
+        i = 0
+        while i < total:
+            nxt = self._get(node, word[i])
             if nxt is None:
-                nxt = _Node()
-                made += 1
-                self._put(node, s, nxt)
+                break
             node = nxt
             path.append(node)
-        ctr.n += len(word) + 1 + made
-        self._grow(made)
-        if node.word:
+            i += 1
+        made = total - i
+        self.counter.n += total + 1 + made
+        if made:
+            leaf = top = _Node()
+            leaf.word = True
+            leaf.count = 1
+            if track:
+                leaf.minlen = 0
+            for j in range(total - 1, i, -1):  # the chain node at depth j
+                up = _Node()
+                up.s0 = word[j]
+                up.k0 = top
+                up.count = 1
+                if track:
+                    up.minlen = total - j
+                top = up
+            self._put(node, word[i], top)
+            self._grow(made)
+        elif node.word:
             return None, node
-        node.word = True
+        else:
+            node.word = True
+            leaf = node
         for p in path:
             p.count += 1
-        if self.track_minlen:
-            total = len(word)
-            for i, p in enumerate(path):
-                r = total - i
+        if track:
+            for d, p in enumerate(path):
+                r = total - d
                 if r < p.minlen:
                     p.minlen = r
-        return node, node
+        return leaf, leaf
 
     def iter_words(self, start: _Node | None = None) -> Iterator[tuple[int, ...]]:
         """All words in the subtree, as suffixes relative to `start`.
@@ -266,18 +288,19 @@ class Trie:
         if root.word and self.absorbs:
             return token
         ctr = self.counter
-        kid = self._get(root, s)
+        # the detach side pops child(s) below; look it up only to re-root
+        # or to choose the side
+        kid = None if reroot is False else self._get(root, s)
         if reroot is None:
             reroot = kid is not None and 2 * kid.count > root.count
         ctr.n += 1
         if not reroot:
-            detached = kid is not None
+            detached = False
             if drop >= 0:
                 ctr.n += 1
-                detached |= self.detach(drop, token) is not None
-            if kid is not None:
-                self.detach(s, token)
-            if detached and self.track_minlen:
+                detached = self.detach(drop, token) is not None
+            kid = self.detach(s, token)
+            if (detached or kid is not None) and self.track_minlen:
                 self._recalc_minlen(root)
         if kid is not None and kid.word and self.absorbs:
             # the bare word (s,) strips to the empty word, which absorbs
@@ -439,7 +462,7 @@ class TermTrie(Trie):
     def from_dnf(cls, d: Dnf, counter: StepCounter | None = None, track_minlen: bool = False) -> "TermTrie":
         tt = cls(d.n, counter=counter, track_minlen=track_minlen)
         for t in d.terms:
-            tt.insert(tuple(lit_index(lit) for lit in t))
+            tt.insert(tuple(map(lit_index, t)))
         return tt
 
     def counts_for(self, v: int) -> tuple[int, int, int]:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import os
 import random
+import subprocess
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -219,3 +221,35 @@ def cli_launch(args) -> tuple[list[str], dict[str, str]]:
     no installed console script.
     """
     return [sys.executable, "-m", "dnfenum", *args], child_env()
+
+
+#: runs ``main(argv)`` with its stream discarded, then prints one JSON line:
+#: its exit code, the sorted ``dnfenum.*`` keys of ``sys.modules`` and what
+#: ``gc.collect()`` finds after it.  The collector is off from the start, so
+#: no automatic collection takes any of the run's cyclic garbage first
+_MAIN_CHILD = """
+import contextlib, gc, io, json, sys
+from dnfenum.cli import main
+gc.collect()
+gc.disable()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+modules = sorted(k for k in sys.modules if k.startswith("dnfenum."))
+print(json.dumps({"code": code, "modules": modules, "cyclic": gc.collect()}))
+"""
+
+
+def main_in_child(args) -> dict:
+    """Run ``dnfenum.cli.main(args)`` in a fresh interpreter and report on it.
+
+    Returns what ``main`` returned (``code``), the ``dnfenum.*`` modules
+    loaded when it returned (``modules``) and the number of unreachable
+    objects that ``gc.collect()`` found then (``cyclic``): all the cyclic
+    garbage the run made.
+    """
+    proc = subprocess.run(
+        [sys.executable, "-c", _MAIN_CHILD, *args],
+        capture_output=True, text=True, env=child_env(), timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])

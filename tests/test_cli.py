@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import gc
 import hashlib
 import io
 import itertools
@@ -16,7 +17,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from conftest import child_env, cli_launch
+from conftest import child_env, cli_launch, main_in_child
 from dnfenum import (
     enum_avg,
     enum_flashlight,
@@ -549,7 +550,7 @@ def test_check_oracle_mismatch_exits_4(example_file, monkeypatch, sweep, fault, 
 
         return gen()
 
-    monkeypatch.setattr("dnfenum.cli.enum_flashlight", faulty)
+    monkeypatch.setattr("dnfenum.classic.enum_flashlight", faulty)
     args = ["sweep", "--n", "6", "--sizes", "4"] if sweep else [example_file]
     assert main([*args, "--algo", "flashlight", "--check-oracle"]) == 4
     err = capsys.readouterr().err
@@ -856,7 +857,7 @@ def test_out_of_memory_names_the_algorithm_if_any(monkeypatch, capsys, args, lin
     def exhausted(*a, **kw):
         raise MemoryError
 
-    monkeypatch.setattr("dnfenum.cli.generate", exhausted)
+    monkeypatch.setattr("dnfenum.instances.generate", exhausted)
     monkeypatch.setattr("dnfenum.cli._read_input", exhausted)
     assert main(args) == 5
     assert capsys.readouterr().err == line
@@ -1062,3 +1063,75 @@ def test_fuzzed_input_ends_in_exit_0_or_3(case, out):
     if code == 3:
         assert stderr.getvalue().startswith("dnfenum: ")
         assert stdout.getvalue() == ""
+
+
+# -- what a run loads and leaves -----------------------------------------------
+
+#: modules that a run of the algorithm must not load
+NOT_LOADED = {
+    "setunion": {"avg", "classic", "graycode", "instances", "kdnf", "monotone"},
+    "avg": {"classic", "graycode", "instances", "kdnf", "monotone", "setunion"},
+    "kdnf": {"classic", "instances", "monotone", "setunion"},
+}
+
+
+@pytest.mark.parametrize("algo", sorted(NOT_LOADED))
+def test_a_run_loads_only_its_algorithms_modules(block_instances, algo):
+    path = block_instances[algo][0]
+    loaded = []
+    for flags in (["--limit", "0", "--count"], ["--format", "bits", "--stats"],
+                  ["--format", "flips", "--stats"]):
+        got = main_in_child([path, "--algo", algo, *flags])
+        assert got["code"] == 0
+        loaded.append({m.removeprefix("dnfenum.") for m in got["modules"]})
+    assert {algo, "cli", "core", "instrument", "trie"} <= loaded[0]
+    assert not loaded[0] & NOT_LOADED[algo]
+    # the flags change what the run does, never what it loads
+    assert loaded[1] == loaded[0] and loaded[2] == loaded[0]
+
+
+@pytest.mark.parametrize("algo", ALGOS)
+def test_a_longer_run_leaves_no_more_cyclic_garbage(block_instances, algo):
+    path = block_instances[algo][0]
+    left = [main_in_child([path, "--algo", algo, "--limit", str(limit)]) for limit in (1000, 20000)]
+    assert [r["code"] for r in left] == [0, 0]
+    assert left[0]["cyclic"] == left[1]["cyclic"]
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd: int):
+        super().__init__()
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("exit_code", [0, 3, 5, 141])
+def test_main_leaves_the_collector_as_it_found_it(example_file, tmp_path, monkeypatch, enabled, exit_code, capsys):
+    args = [example_file, "--algo", "avg"]
+    if exit_code == 3:
+        args[0] = str(tmp_path / "missing.dnf")
+    if exit_code == 5:
+        def exhausted(*a, **kw):
+            raise MemoryError
+
+        monkeypatch.setattr("dnfenum.cli._read_input", exhausted)
+    was = gc.isenabled()
+    with open(tmp_path / "pipe.out", "w") as sink:
+        if exit_code == 141:
+            # main points the closed stdout's descriptor at the null device
+            monkeypatch.setattr(sys, "stdout", _ClosedPipe(sink.fileno()))
+        (gc.enable if enabled else gc.disable)()
+        try:
+            code = main(args)
+            after = gc.isenabled()
+        finally:
+            (gc.enable if was else gc.disable)()
+    assert (code, after) == (exit_code, enabled)
